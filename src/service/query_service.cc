@@ -107,38 +107,17 @@ class TraceGroupScope
     std::int64_t prev = -1;
 };
 
-/** SloConfig with env overrides and per-tenant objectives resolved. */
+/** SloConfig with per-tenant objectives resolved. */
 obs::SloConfig
 resolveSloConfig(const ServiceConfig &c)
 {
     obs::SloConfig s = c.slo;
-    if (const char *env = std::getenv("AQUOMAN_SLO_WINDOW");
-        env && env[0]) {
-        char *end = nullptr;
-        double v = std::strtod(env, &end);
-        if (end != env && *end == '\0' && v > 0.0)
-            s.windowSec = v;
-    }
     if (s.objectives.empty())
         for (const TenantConfig &tc : c.tenants)
             if (tc.sloSec > 0.0)
                 s.objectives.push_back(
                     {tc.name, tc.sloSec, s.defaultAttainment});
     return s;
-}
-
-int
-resolveTraceSampleN(const ServiceConfig &c)
-{
-    int n = c.traceSampleEveryN;
-    if (const char *env = std::getenv("AQUOMAN_TRACE_SAMPLE");
-        env && env[0]) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 0)
-            n = static_cast<int>(v);
-    }
-    return n;
 }
 
 } // namespace
@@ -350,7 +329,7 @@ struct QueryService::Impl
     bool
     sampling() const
     {
-        return traceSampleN > 0 && tracer.enabled();
+        return cfg.traceSampleEveryN > 0 && tracer.enabled();
     }
 
     /**
@@ -1037,7 +1016,7 @@ struct QueryService::Impl
             // their full span trees; healthy queries survive only the
             // deterministic 1-in-N sample.
             bool keep = e.rec.sloViolated || e.rec.suspendCount > 0 ||
-                        (e.rec.id % traceSampleN == 0);
+                        (e.rec.id % cfg.traceSampleEveryN == 0);
             e.rec.traceKept = keep;
             tracer.resolveGroup(e.rec.id, keep);
         }
@@ -1139,7 +1118,6 @@ struct QueryService::Impl
     int flightTrack = -1;
 
     obs::SloEngine slo{resolveSloConfig(cfg)};
-    int traceSampleN = resolveTraceSampleN(cfg);
     int sloTrack = -1;
 
     double clock = 0.0;

@@ -161,7 +161,6 @@ struct ServiceConfig
      * objective per tenant with sloSec > 0 is derived automatically
      * (target = sloSec, attainment = slo.defaultAttainment), so the
      * engine tracks exactly the SLOs admission already reports on.
-     * AQUOMAN_SLO_WINDOW=<seconds> overrides `slo.windowSec`.
      */
     obs::SloConfig slo;
 
@@ -170,9 +169,8 @@ struct ServiceConfig
      * spans; N > 0 keeps full span trees only for queries that
      * violated their SLO, were shed, or suspended, plus the
      * deterministic 1-in-N sample of healthy queries (id % N == 0).
-     * AQUOMAN_TRACE_SAMPLE=<N> overrides. Sampling keys off the
-     * modelled outcome, so the sampled trace is byte-identical across
-     * AQUOMAN_THREADS.
+     * Sampling keys off the modelled outcome, so the sampled trace is
+     * byte-identical across AQUOMAN_THREADS.
      */
     int traceSampleEveryN = 0;
 
