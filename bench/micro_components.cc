@@ -12,6 +12,7 @@
 #include <chrono>
 #include <functional>
 #include <string_view>
+#include <vector>
 
 #include "aquoman/swissknife/bitonic.hh"
 #include "flash/flash_device.hh"
@@ -87,24 +88,49 @@ BM_MergerIntersect(benchmark::State &state)
 }
 BENCHMARK(BM_MergerIntersect)->Arg(1 << 14)->Arg(1 << 18);
 
+/** Group-by key and value columns over @p groups distinct keys. */
+struct GroupByInput
+{
+    std::vector<std::int64_t> keys, vals;
+};
+
+GroupByInput
+groupByInput(std::int64_t groups)
+{
+    // At least 64K rows, and about four rows per group so that a
+    // q18-shaped key count (most groups spill) still revisits groups.
+    std::int64_t rows = std::max<std::int64_t>(1 << 16, 4 * groups);
+    Rng rng(4);
+    GroupByInput in;
+    for (std::int64_t r = 0; r < rows; ++r) {
+        in.keys.push_back(rng.uniform(0, groups - 1));
+        in.vals.push_back(rng.uniform(0, 100));
+    }
+    return in;
+}
+
+/** One columnar group-by pass (sum + count); returns the group count. */
+std::int64_t
+runGroupBy(const GroupByInput &in)
+{
+    GroupByAccelerator gb(AquomanConfig{}, 1, {HwAgg::Sum, HwAgg::Cnt});
+    const std::int64_t *ids[] = {in.keys.data()};
+    const std::int64_t *vals[] = {in.vals.data(), nullptr};
+    gb.update(ids, vals, static_cast<std::int64_t>(in.keys.size()));
+    return gb.finish().size();
+}
+
 void
 BM_GroupByAccelerator(benchmark::State &state)
 {
-    std::int64_t groups = state.range(0);
-    Rng rng(4);
-    std::vector<std::pair<std::int64_t, std::int64_t>> rows(1 << 16);
-    for (auto &r : rows)
-        r = {rng.uniform(0, groups - 1), rng.uniform(0, 100)};
-    for (auto _ : state) {
-        GroupByAccelerator gb(AquomanConfig{}, 1,
-                              {HwAgg::Sum, HwAgg::Cnt});
-        for (const auto &[g, v] : rows)
-            gb.update({g}, {v, 0});
-        benchmark::DoNotOptimize(gb.finish());
-    }
-    state.SetItemsProcessed(state.iterations() * rows.size());
+    GroupByInput in = groupByInput(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(runGroupBy(in));
+    state.SetItemsProcessed(state.iterations() * in.keys.size());
 }
-BENCHMARK(BM_GroupByAccelerator)->Arg(16)->Arg(1024)->Arg(100000);
+// 150000 is q18-shaped: nearly every group spills to the host table.
+BENCHMARK(BM_GroupByAccelerator)
+    ->Arg(16)->Arg(1024)->Arg(100000)->Arg(150000);
 
 void
 BM_StreamingSorter(benchmark::State &state)
@@ -652,8 +678,10 @@ morselSweep()
 /**
  * CI perf-smoke gate (--check-batch-speedup): the batched Row Selector
  * must clear 4x the scalar selector's throughput on the q6-shaped
- * probe relation. Also reports the Row Transformer ratio for context
- * (not gated: its win varies more across hosts). Returns 0 on success.
+ * probe relation. Also reports the Row Transformer ratio and the
+ * columnar group-by throughput on an SRAM-resident and a spill-heavy
+ * key set for context (not gated: they vary more across hosts).
+ * Returns 0 on success.
  */
 int
 checkBatchSpeedup()
@@ -704,6 +732,17 @@ checkBatchSpeedup()
                 "Mrows/s, speedup %.2fx (informational)\n",
                 kRows / scalar_tr / 1e6, kRows / batched_tr / 1e6,
                 tr_speedup);
+    GroupByInput sram_gb = groupByInput(16), spill_gb = groupByInput(150000);
+    double sram_s = bestOfSeconds(3, [&] {
+        benchmark::DoNotOptimize(runGroupBy(sram_gb));
+    });
+    double spill_s = bestOfSeconds(3, [&] {
+        benchmark::DoNotOptimize(runGroupBy(spill_gb));
+    });
+    std::printf("group-by:        SRAM-resident (16 keys) %.1f Mrows/s, "
+                "spill-heavy (150K keys) %.1f Mrows/s (informational)\n",
+                sram_gb.keys.size() / sram_s / 1e6,
+                spill_gb.keys.size() / spill_s / 1e6);
     reportKernelSections();
     if (sel_speedup < 4.0) {
         std::fprintf(stderr,

@@ -693,22 +693,34 @@ struct AquomanDevice::Impl
     }
 
     /**
-     * Run a compiled Row Transformation Program column-at-a-time: the
-     * kernel is compiled once per Table Task and executed over
-     * contiguous kPeBatchRows morsels of flat buffers. Bit-identical
-     * to the per-row SystolicArray loop (the kernel falls back to it
-     * for programs with cross-row state).
+     * Run a compiled Row Transformation Program over @p rows rows into
+     * @p outs. Batched, the kernel is compiled once per Table Task and
+     * executed column-at-a-time over contiguous kPeBatchRows morsels of
+     * flat buffers; with AQUOMAN_BATCH=0 every row goes through
+     * @p array one at a time. Both are bit-identical (the kernel falls
+     * back to the per-row loop for programs with cross-row state).
      */
     void
-    runTransformBatched(const CompiledTransform &ct,
-                        const std::vector<RelColumn> &inputs,
-                        std::int64_t rows,
-                        std::vector<std::vector<std::int64_t> *> outs)
+    runTransform(const CompiledTransform &ct, SystolicArray &array,
+                 const std::vector<RelColumn> &inputs, std::int64_t rows,
+                 std::vector<std::vector<std::int64_t> *> outs)
     {
-        PeBatchKernel kernel(ct.programs,
-                             static_cast<int>(inputs.size()));
         for (auto *o : outs)
             o->resize(rows);
+        if (!batchExecutionEnabled()) {
+            std::vector<std::int64_t> row_in, row_out;
+            for (std::int64_t r = 0; r < rows; ++r) {
+                row_in.clear();
+                for (const auto &ic : inputs)
+                    row_in.push_back(ic.get(r));
+                array.runRow(row_in, row_out);
+                for (std::size_t o = 0; o < outs.size(); ++o)
+                    (*outs[o])[r] = row_out[o];
+            }
+            return;
+        }
+        PeBatchKernel kernel(ct.programs,
+                             static_cast<int>(inputs.size()));
         std::vector<const std::int64_t *> in_ptrs(inputs.size());
         std::vector<std::int64_t *> out_ptrs(outs.size());
         const std::int64_t morsel = peBatchMorselRows();
@@ -1104,23 +1116,10 @@ struct AquomanDevice::Impl
             std::vector<RelColumn> outs;
             for (std::size_t o = 0; o < computed.size(); ++o)
                 outs.emplace_back(computed[o].name, ct.outputTypes[o]);
-            if (batchExecutionEnabled()) {
-                std::vector<std::vector<std::int64_t> *> out_vecs;
-                for (auto &o : outs)
-                    out_vecs.push_back(o.vals.get());
-                runTransformBatched(ct, inputs, rel.rows,
-                                    std::move(out_vecs));
-            } else {
-                std::vector<std::int64_t> row_in, row_out;
-                for (std::int64_t r = 0; r < rel.rows; ++r) {
-                    row_in.clear();
-                    for (const auto &ic : inputs)
-                        row_in.push_back(ic.get(r));
-                    array.runRow(row_in, row_out);
-                    for (std::size_t o = 0; o < outs.size(); ++o)
-                        outs[o].push(row_out[o]);
-                }
-            }
+            std::vector<std::vector<std::int64_t> *> out_vecs;
+            for (auto &o : outs)
+                out_vecs.push_back(o.vals.get());
+            runTransform(ct, array, inputs, rel.rows, std::move(out_vecs));
             stats.transformedRows += rel.rows;
             double vectors = std::ceil(static_cast<double>(rel.rows)
                                        / kRowVectorSize);
@@ -1669,38 +1668,27 @@ struct AquomanDevice::Impl
         GroupByAccelerator gb(config,
                               static_cast<int>(spec.groupColumns.size()),
                               hw);
-        // Batched: run the whole transform column-at-a-time first; the
-        // per-row loop below then only feeds the accelerator. The
-        // hash-update order (and hence spill behaviour) is unchanged.
-        bool batched = array && batchExecutionEnabled();
+        // The transform runs over the whole relation first; the
+        // accelerator then takes the group and value columns directly,
+        // in row order, so spill behaviour matches a per-row feed.
         std::vector<std::vector<std::int64_t>> tcols;
-        if (batched) {
+        if (array) {
             tcols.resize(ct->outputNames.size());
             std::vector<std::vector<std::int64_t> *> out_vecs;
             for (auto &c : tcols)
                 out_vecs.push_back(&c);
-            runTransformBatched(*ct, inputs, rel.rows,
-                                std::move(out_vecs));
+            runTransform(*ct, *array, inputs, rel.rows,
+                         std::move(out_vecs));
         }
-        std::vector<std::int64_t> row_in, row_out, gid(group_cols.size()),
-            vals(hw.size(), 1);
-        for (std::int64_t r = 0; r < rel.rows; ++r) {
-            if (array && !batched) {
-                row_in.clear();
-                for (const auto &ic : inputs)
-                    row_in.push_back(ic.get(r));
-                array->runRow(row_in, row_out);
-            }
-            for (std::size_t g = 0; g < group_cols.size(); ++g)
-                gid[g] = group_cols[g].get(r);
-            for (std::size_t s = 0; s < slots.size(); ++s) {
-                if (slots[s].value >= 0)
-                    vals[slots[s].value] = batched
-                        ? tcols[transform_idx[s]][r]
-                        : row_out[transform_idx[s]];
-            }
-            gb.update(gid, vals);
+        std::vector<const std::int64_t *> id_cols;
+        for (const auto &gc : group_cols)
+            id_cols.push_back(gc.vals->data());
+        std::vector<const std::int64_t *> val_cols(hw.size(), nullptr);
+        for (std::size_t s = 0; s < slots.size(); ++s) {
+            if (slots[s].value >= 0)
+                val_cols[slots[s].value] = tcols[transform_idx[s]].data();
         }
+        gb.update(id_cols, val_cols, rel.rows);
         stats.transformedRows += rel.rows;
         double vectors = std::ceil(static_cast<double>(rel.rows)
                                    / kRowVectorSize);
@@ -1720,17 +1708,17 @@ struct AquomanDevice::Impl
         stats.spillGroups += gb.stats().groupsSpilled;
         stats.hostResidual.rowOps += gb.stats().rowsSpilled;
 
-        auto groups = gb.finish();
+        GroupColumns groups = gb.finish();
+        const std::int64_t ngroups = groups.size();
 
         RelTable out;
         for (std::size_t g = 0; g < spec.groupColumns.size(); ++g) {
             RelColumn c(spec.groupColumns[g], group_cols[g].type);
             c.heap = group_cols[g].heap;
-            for (const auto &gr : groups)
-                c.push(gr.groupId[g]);
+            *c.vals = std::move(groups.ids[g]);
             out.addColumn(std::move(c));
         }
-        bool empty_global = groups.empty() && spec.groupColumns.empty();
+        bool empty_global = ngroups == 0 && spec.groupColumns.empty();
         for (std::size_t s = 0; s < slots.size(); ++s) {
             const Slot &slot = slots[s];
             ColumnType out_type = slot.inType;
@@ -1739,23 +1727,23 @@ struct AquomanDevice::Impl
             if (slot.kind == AggKind::Avg)
                 out_type = ColumnType::Decimal;
             RelColumn c(spec.aggregates[s].name, out_type);
-            for (const auto &gr : groups) {
+            for (std::int64_t g = 0; g < ngroups; ++g) {
                 std::int64_t v = 0;
                 switch (slot.kind) {
                   case AggKind::Sum:
-                    v = gr.aggregates[slot.value];
+                    v = groups.aggregates[slot.value][g];
                     break;
                   case AggKind::Min:
                   case AggKind::Max:
-                    v = gr.counts[slot.value]
-                        ? gr.aggregates[slot.value] : kNullValue;
+                    v = groups.rows[g]
+                        ? groups.aggregates[slot.value][g] : kNullValue;
                     break;
                   case AggKind::Count:
-                    v = gr.aggregates[slot.count];
+                    v = groups.aggregates[slot.count][g];
                     break;
                   case AggKind::Avg: {
-                    std::int64_t sum = gr.aggregates[slot.value];
-                    std::int64_t cnt = gr.aggregates[slot.count];
+                    std::int64_t sum = groups.aggregates[slot.value][g];
+                    std::int64_t cnt = groups.aggregates[slot.count][g];
                     if (slot.inType != ColumnType::Decimal)
                         sum *= kDecimalScale;
                     v = cnt ? sum / cnt : kNullValue;
@@ -1774,7 +1762,7 @@ struct AquomanDevice::Impl
         stats.taskLog.push_back(
             "AGGREGATE" + std::string(spec.groupColumns.empty()
                                       ? "" : "_GROUPBY")
-            + ": " + std::to_string(groups.size()) + " group(s), "
+            + ": " + std::to_string(ngroups) + " group(s), "
             + std::to_string(gb.stats().groupsSpilled)
             + " spill-over group(s)");
         ++stats.tasksExecuted;

@@ -1,108 +1,276 @@
 #include "aquoman/swissknife/groupby.hh"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
+#include <numeric>
 
 namespace aquoman {
+
+namespace {
+
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/** Rows hashed per column pass before the in-order claim loop. */
+constexpr std::int64_t kHashMorsel = 1024;
+
+/** FNV-1a over the eight bytes of one identifier lane, low byte first. */
+std::uint64_t
+fnvLane(std::uint64_t h, std::int64_t lane)
+{
+    const auto u = static_cast<std::uint64_t>(lane);
+    for (int b = 0; b < 8; ++b) {
+        h ^= (u >> (8 * b)) & 0xff;
+        h *= kFnvPrime;
+    }
+    return h;
+}
+
+/**
+ * Spill-table home slot: the top bits of hash * 2^64/phi (Fibonacci
+ * hashing), since the low bits already chose, and collided on, the
+ * SRAM bucket.
+ */
+std::size_t
+homeSlot(std::uint64_t hash, int shift)
+{
+    return (hash * 0x9e3779b97f4a7c15ull) >> shift;
+}
+
+bool
+sameId(const std::int64_t *id, std::span<const std::int64_t *const> cols,
+       std::int64_t r)
+{
+    for (std::size_t l = 0; l < cols.size(); ++l) {
+        if (id[l] != cols[l][r])
+            return false;
+    }
+    return true;
+}
+
+void
+copyId(std::int64_t *id, std::span<const std::int64_t *const> cols,
+       std::int64_t r)
+{
+    for (std::size_t l = 0; l < cols.size(); ++l)
+        id[l] = cols[l][r];
+}
+
+} // namespace
 
 GroupByAccelerator::GroupByAccelerator(const AquomanConfig &cfg,
                                        int id_width,
                                        std::vector<HwAgg> aggs)
-    : config(cfg), idWidth(id_width), aggKinds(std::move(aggs))
+    : idWidth(id_width), numAggs(static_cast<int>(aggs.size())),
+      aggKinds(std::move(aggs))
 {
     AQ_ASSERT(idWidth >= 0);
-    AQ_ASSERT(static_cast<int>(aggKinds.size())
-                  <= config.aggSlotsPerBucket,
-              "bucket supports ", config.aggSlotsPerBucket,
-              " aggregate slots, requested ", aggKinds.size());
-    idTooWide = idWidth * 8 > config.groupIdBytes;
-    buckets.resize(config.groupByBuckets);
+    AQ_ASSERT(numAggs <= cfg.aggSlotsPerBucket,
+              "bucket supports ", cfg.aggSlotsPerBucket,
+              " aggregate slots, requested ", numAggs);
+    AQ_ASSERT(cfg.groupByBuckets > 0);
+    idTooWide = idWidth * 8 > cfg.groupIdBytes;
+    const auto nb = static_cast<std::size_t>(cfg.groupByBuckets);
+    used.assign(nb, 0);
+    sramIds.assign(nb * idWidth, 0);
+    sramAggs.assign(nb * numAggs, 0);
+    sramRows.assign(nb, 0);
 }
 
-std::size_t
-GroupByAccelerator::hashId(const std::vector<std::int64_t> &id) const
+void
+GroupByAccelerator::initAggs(std::int64_t *agg) const
 {
-    // FNV-1a over the identifier lanes, folded to the bucket count.
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::int64_t lane : id) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= static_cast<std::uint8_t>(lane >> (8 * b));
-            h *= 1099511628211ull;
+    for (int i = 0; i < numAggs; ++i) {
+        switch (aggKinds[i]) {
+          case HwAgg::Min:
+            agg[i] = std::numeric_limits<std::int64_t>::max();
+            break;
+          case HwAgg::Max:
+            agg[i] = std::numeric_limits<std::int64_t>::min();
+            break;
+          default:
+            agg[i] = 0;
+            break;
         }
     }
-    return static_cast<std::size_t>(h % buckets.size());
 }
 
 void
-GroupByAccelerator::initAggs(std::vector<std::int64_t> &agg,
-                             std::vector<std::int64_t> &cnt) const
+GroupByAccelerator::applyRow(std::int64_t *agg,
+                             std::span<const std::int64_t *const> val_cols,
+                             std::int64_t r) const
 {
-    agg.assign(aggKinds.size(), 0);
-    cnt.assign(aggKinds.size(), 0);
-    for (std::size_t i = 0; i < aggKinds.size(); ++i) {
-        if (aggKinds[i] == HwAgg::Min)
-            agg[i] = std::numeric_limits<std::int64_t>::max();
-        if (aggKinds[i] == HwAgg::Max)
-            agg[i] = std::numeric_limits<std::int64_t>::min();
-    }
-}
-
-void
-GroupByAccelerator::applyRow(std::vector<std::int64_t> &agg,
-                             std::vector<std::int64_t> &cnt,
-                             const std::vector<std::int64_t> &values) const
-{
-    for (std::size_t i = 0; i < aggKinds.size(); ++i) {
-        std::int64_t v = values[i];
+    for (int i = 0; i < numAggs; ++i) {
         switch (aggKinds[i]) {
-          case HwAgg::Sum: agg[i] += v; break;
-          case HwAgg::Min: agg[i] = std::min(agg[i], v); break;
-          case HwAgg::Max: agg[i] = std::max(agg[i], v); break;
+          case HwAgg::Sum: agg[i] += val_cols[i][r]; break;
+          case HwAgg::Min: agg[i] = std::min(agg[i], val_cols[i][r]); break;
+          case HwAgg::Max: agg[i] = std::max(agg[i], val_cols[i][r]); break;
           case HwAgg::Cnt: agg[i] += 1; break;
         }
-        cnt[i] += 1;
     }
+}
+
+void
+GroupByAccelerator::update(std::span<const std::int64_t *const> id_cols,
+                           std::span<const std::int64_t *const> val_cols,
+                           std::int64_t rows)
+{
+    AQ_ASSERT(static_cast<int>(id_cols.size()) == idWidth);
+    AQ_ASSERT(static_cast<int>(val_cols.size()) == numAggs);
+    for (int i = 0; i < numAggs; ++i) {
+        AQ_ASSERT(aggKinds[i] == HwAgg::Cnt || val_cols[i] || rows == 0,
+                  "aggregate slot ", i, " has no value column");
+    }
+    std::uint64_t hashes[kHashMorsel];
+    for (std::int64_t base = 0; base < rows; base += kHashMorsel) {
+        const std::int64_t n = std::min(kHashMorsel, rows - base);
+        // Hashing is order-free, so it runs a column at a time; claims,
+        // compares and spills below stay in row order.
+        std::fill_n(hashes, n, kFnvBasis);
+        for (const std::int64_t *col : id_cols) {
+            for (std::int64_t i = 0; i < n; ++i)
+                hashes[i] = fnvLane(hashes[i], col[base + i]);
+        }
+        for (std::int64_t i = 0; i < n; ++i)
+            accumulate(id_cols, val_cols, base + i, hashes[i]);
+    }
+    runStats.rowsIn += rows;
 }
 
 void
 GroupByAccelerator::update(const std::vector<std::int64_t> &group_id,
                            const std::vector<std::int64_t> &values)
 {
-    AQ_ASSERT(static_cast<int>(group_id.size()) == idWidth);
-    AQ_ASSERT(values.size() == aggKinds.size());
-    ++runStats.rowsIn;
-    Bucket &b = buckets[hashId(group_id)];
-    if (!b.used) {
-        b.used = true;
-        b.id = group_id;
-        initAggs(b.agg, b.cnt);
-        ++runStats.groupsInSram;
-    }
-    if (b.id == group_id) {
-        applyRow(b.agg, b.cnt, values);
-        return;
-    }
-    // Hash collision: this row belongs to a spill-over group the x86
-    // host accumulates (the device keeps streaming at line rate).
-    ++runStats.rowsSpilled;
-    auto [it, fresh] = spill.try_emplace(group_id);
-    if (fresh) {
-        initAggs(it->second.agg, it->second.cnt);
-        it->second.id = group_id;
-        ++runStats.groupsSpilled;
-    }
-    applyRow(it->second.agg, it->second.cnt, values);
+    std::vector<const std::int64_t *> ids, vals;
+    for (const std::int64_t &v : group_id)
+        ids.push_back(&v);
+    for (const std::int64_t &v : values)
+        vals.push_back(&v);
+    update(ids, vals, 1);
 }
 
-std::vector<GroupResult>
-GroupByAccelerator::finish()
+void
+GroupByAccelerator::accumulate(std::span<const std::int64_t *const> id_cols,
+                               std::span<const std::int64_t *const> val_cols,
+                               std::int64_t r, std::uint64_t hash)
 {
-    std::vector<GroupResult> out;
-    for (const Bucket &b : buckets) {
-        if (b.used)
-            out.push_back({b.id, b.agg, b.cnt, false});
+    const std::size_t b = hash % used.size();
+    std::int64_t *id = sramIds.data() + b * idWidth;
+    if (!used[b]) {
+        used[b] = 1;
+        copyId(id, id_cols, r);
+        initAggs(sramAggs.data() + b * numAggs);
+        ++runStats.groupsInSram;
+    } else if (!sameId(id, id_cols, r)) {
+        // Hash collision: this row belongs to a spill-over group the
+        // x86 host accumulates (the device keeps streaming at line
+        // rate).
+        ++runStats.rowsSpilled;
+        std::int64_t g = spillGroup(id_cols, r, hash);
+        applyRow(spillAggs.data() + g * numAggs, val_cols, r);
+        ++spillRows[g];
+        return;
     }
-    for (const auto &[id, b] : spill)
-        out.push_back({id, b.agg, b.cnt, true});
+    applyRow(sramAggs.data() + b * numAggs, val_cols, r);
+    ++sramRows[b];
+}
+
+std::int64_t
+GroupByAccelerator::spillGroup(std::span<const std::int64_t *const> id_cols,
+                               std::int64_t r, std::uint64_t hash)
+{
+    // Keep the table at most half full so probes stay short.
+    if (2 * (spillHash.size() + 1) > spillSlots.size())
+        growSpill();
+    const std::size_t mask = spillSlots.size() - 1;
+    std::size_t p = homeSlot(hash, spillShift);
+    for (;; p = (p + 1) & mask) {
+        const std::int32_t g = spillSlots[p];
+        if (g < 0)
+            break;
+        if (spillHash[g] == hash
+            && sameId(spillIds.data() + std::int64_t{g} * idWidth,
+                      id_cols, r))
+            return g;
+    }
+    const std::int64_t g = static_cast<std::int64_t>(spillHash.size());
+    AQ_ASSERT(g < std::numeric_limits<std::int32_t>::max(),
+              "spill table exceeds int32 group index");
+    spillSlots[p] = static_cast<std::int32_t>(g);
+    spillHash.push_back(hash);
+    spillIds.resize(spillIds.size() + idWidth);
+    copyId(spillIds.data() + g * idWidth, id_cols, r);
+    spillAggs.resize(spillAggs.size() + numAggs);
+    initAggs(spillAggs.data() + g * numAggs);
+    spillRows.push_back(0);
+    ++runStats.groupsSpilled;
+    return g;
+}
+
+void
+GroupByAccelerator::growSpill()
+{
+    const std::size_t cap =
+        std::max<std::size_t>(64, 2 * spillSlots.size());
+    spillSlots.assign(cap, -1);
+    spillShift = 64 - std::countr_zero(cap);
+    const std::size_t mask = cap - 1;
+    for (std::size_t g = 0; g < spillHash.size(); ++g) {
+        std::size_t p = homeSlot(spillHash[g], spillShift);
+        while (spillSlots[p] >= 0)
+            p = (p + 1) & mask;
+        spillSlots[p] = static_cast<std::int32_t>(g);
+    }
+}
+
+GroupColumns
+GroupByAccelerator::finish() const
+{
+    const std::int64_t total =
+        runStats.groupsInSram + runStats.groupsSpilled;
+    GroupColumns out;
+    out.ids.resize(idWidth);
+    out.aggregates.resize(numAggs);
+    for (auto &c : out.ids)
+        c.reserve(total);
+    for (auto &c : out.aggregates)
+        c.reserve(total);
+    out.rows.reserve(total);
+    auto emit = [&](const std::int64_t *id, const std::int64_t *agg,
+                    std::int64_t rows) {
+        for (int l = 0; l < idWidth; ++l)
+            out.ids[l].push_back(id[l]);
+        for (int i = 0; i < numAggs; ++i)
+            out.aggregates[i].push_back(agg[i]);
+        out.rows.push_back(rows);
+    };
+    for (std::size_t b = 0; b < used.size(); ++b) {
+        if (used[b])
+            emit(sramIds.data() + b * idWidth,
+                 sramAggs.data() + b * numAggs, sramRows[b]);
+    }
+    out.sramGroups = runStats.groupsInSram;
+
+    auto spill_id = [&](std::int32_t g) {
+        return spillIds.data() + std::int64_t{g} * idWidth;
+    };
+    std::vector<std::int32_t> order(spillHash.size());
+    std::iota(order.begin(), order.end(), 0);
+    auto id_less = [&](std::int32_t a, std::int32_t b) {
+        return std::lexicographical_compare(spill_id(a),
+                                            spill_id(a) + idWidth,
+                                            spill_id(b),
+                                            spill_id(b) + idWidth);
+    };
+    // Spill groups are numbered in first-seen order, which is already
+    // ascending for clustered keys (q18's lineitem by orderkey); the
+    // check is one pass, a sort of sorted input is several.
+    if (!std::is_sorted(order.begin(), order.end(), id_less))
+        std::sort(order.begin(), order.end(), id_less);
+    for (std::int32_t g : order)
+        emit(spill_id(g), spillAggs.data() + std::int64_t{g} * numAggs,
+             spillRows[g]);
     return out;
 }
 

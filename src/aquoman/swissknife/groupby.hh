@@ -6,14 +6,18 @@
  * (sum/min/max/cnt) in banked SRAM. On a hash collision one group keeps
  * the bucket and the other becomes a spill-over group whose rows are
  * shipped to the x86 host (Sec. VI-E).
+ *
+ * Storage is flat: the SRAM buckets are structure-of-arrays (a used
+ * flag array plus bucket-major id, aggregate and row-count arrays) and
+ * the host spill table is an open-addressing table over group-major
+ * arrays of the same shape. Rows arrive column by column.
  */
 
 #ifndef AQUOMAN_AQUOMAN_SWISSKNIFE_GROUPBY_HH
 #define AQUOMAN_AQUOMAN_SWISSKNIFE_GROUPBY_HH
 
 #include <cstdint>
-#include <map>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "aquoman/config.hh"
@@ -24,13 +28,28 @@ namespace aquoman {
 /** Hardware aggregate kinds one SRAM slot supports. */
 enum class HwAgg { Sum, Min, Max, Cnt };
 
-/** One finished group: identifier values plus aggregate results. */
-struct GroupResult
+/**
+ * Finished groups as columns. Drain order is a contract: groups
+ * [0, sramGroups) are the used SRAM buckets in bucket-index order, the
+ * rest are the host-accumulated spill groups sorted ascending by
+ * identifier (lexicographic over signed lanes).
+ */
+struct GroupColumns
 {
-    std::vector<std::int64_t> groupId;
-    std::vector<std::int64_t> aggregates;
-    std::vector<std::int64_t> counts; ///< rows contributing per agg
-    bool fromSpill = false;           ///< accumulated by the host
+    std::vector<std::vector<std::int64_t>> ids;        ///< [lane][group]
+    std::vector<std::vector<std::int64_t>> aggregates; ///< [slot][group]
+    /**
+     * Rows accumulated per group. Every slot sees every row of its
+     * group, so this is also each slot's contributing-row count.
+     */
+    std::vector<std::int64_t> rows;
+    std::int64_t sramGroups = 0;
+
+    std::int64_t
+    size() const
+    {
+        return static_cast<std::int64_t>(rows.size());
+    }
 };
 
 /** Statistics of one Aggregate Group-By run. */
@@ -55,18 +74,22 @@ class GroupByAccelerator
                        std::vector<HwAgg> aggs);
 
     /**
-     * Accumulate one row.
-     * @param group_id identifier lanes (id_width values)
-     * @param values   one value per aggregate column
+     * Accumulate @p rows rows, fed column by column. Bucket claims,
+     * compares and spill decisions follow row order.
+     * @param id_cols  id_width identifier columns
+     * @param val_cols one value column per aggregate slot; the column
+     *                 of a Cnt slot is never read and may be null
      */
+    void update(std::span<const std::int64_t *const> id_cols,
+                std::span<const std::int64_t *const> val_cols,
+                std::int64_t rows);
+
+    /** Accumulate one row: a one-row column feed. */
     void update(const std::vector<std::int64_t> &group_id,
                 const std::vector<std::int64_t> &values);
 
-    /**
-     * Drain results: SRAM groups plus host-accumulated spill groups,
-     * merged. Order is unspecified (the host sorts final output).
-     */
-    std::vector<GroupResult> finish();
+    /** Drain SRAM groups then spill groups (see GroupColumns). */
+    GroupColumns finish() const;
 
     const GroupByStats &stats() const { return runStats; }
 
@@ -74,28 +97,36 @@ class GroupByAccelerator
     bool idWidthExceedsHardware() const { return idTooWide; }
 
   private:
-    struct Bucket
-    {
-        bool used = false;
-        std::vector<std::int64_t> id;
-        std::vector<std::int64_t> agg;
-        std::vector<std::int64_t> cnt;
-    };
+    void accumulate(std::span<const std::int64_t *const> id_cols,
+                    std::span<const std::int64_t *const> val_cols,
+                    std::int64_t r, std::uint64_t hash);
+    std::int64_t spillGroup(std::span<const std::int64_t *const> id_cols,
+                            std::int64_t r, std::uint64_t hash);
+    void growSpill();
+    void initAggs(std::int64_t *agg) const;
+    void applyRow(std::int64_t *agg,
+                  std::span<const std::int64_t *const> val_cols,
+                  std::int64_t r) const;
 
-    std::size_t hashId(const std::vector<std::int64_t> &id) const;
-    void initAggs(std::vector<std::int64_t> &agg,
-                  std::vector<std::int64_t> &cnt) const;
-    void applyRow(std::vector<std::int64_t> &agg,
-                  std::vector<std::int64_t> &cnt,
-                  const std::vector<std::int64_t> &values) const;
-
-    AquomanConfig config;
     int idWidth;
+    int numAggs;
     bool idTooWide;
     std::vector<HwAgg> aggKinds;
-    std::vector<Bucket> buckets;
-    /** Host-side accumulation of spill-over groups. */
-    std::map<std::vector<std::int64_t>, Bucket> spill;
+
+    /** SRAM buckets, bucket-major. */
+    std::vector<std::uint8_t> used;
+    std::vector<std::int64_t> sramIds;  ///< idWidth lanes per bucket
+    std::vector<std::int64_t> sramAggs; ///< numAggs slots per bucket
+    std::vector<std::int64_t> sramRows;
+
+    /** Host spill table: slots index the group-major arrays. */
+    std::vector<std::int32_t> spillSlots; ///< group index or -1
+    int spillShift = 64;                  ///< 64 - log2(slot count)
+    std::vector<std::uint64_t> spillHash; ///< cached FNV-1a per group
+    std::vector<std::int64_t> spillIds;
+    std::vector<std::int64_t> spillAggs;
+    std::vector<std::int64_t> spillRows;
+
     GroupByStats runStats;
 };
 

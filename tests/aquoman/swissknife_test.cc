@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 
 #include "aquoman/swissknife/bitonic.hh"
 #include "aquoman/swissknife/groupby.hh"
@@ -248,15 +250,18 @@ TEST(GroupByTest, SmallGroupSetStaysInSram)
         gb.update({i % 4}, {i, 0});
     EXPECT_EQ(gb.stats().groupsSpilled, 0);
     EXPECT_EQ(gb.stats().rowsSpilled, 0);
-    auto groups = gb.finish();
-    ASSERT_EQ(groups.size(), 4u);
+    GroupColumns groups = gb.finish();
+    ASSERT_EQ(groups.size(), 4);
+    EXPECT_EQ(groups.sramGroups, 4);
     std::map<std::int64_t, std::int64_t> sums;
-    for (const auto &g : groups)
-        sums[g.groupId[0]] = g.aggregates[0];
+    for (std::int64_t g = 0; g < groups.size(); ++g)
+        sums[groups.ids[0][g]] = groups.aggregates[0][g];
     // sum of i in 0..999 with i%4==0: 0+4+...+996.
     EXPECT_EQ(sums[0], 124500);
-    for (const auto &g : groups)
-        EXPECT_EQ(g.aggregates[1], 250);
+    for (std::int64_t g = 0; g < groups.size(); ++g) {
+        EXPECT_EQ(groups.aggregates[1][g], 250);
+        EXPECT_EQ(groups.rows[g], 250);
+    }
 }
 
 TEST(GroupByTest, CollisionsSpillToHostAndMergeBack)
@@ -274,14 +279,12 @@ TEST(GroupByTest, CollisionsSpillToHostAndMergeBack)
     }
     EXPECT_GT(gb.stats().groupsSpilled, 0);
     EXPECT_GT(gb.stats().rowsSpilled, 0);
-    auto groups = gb.finish();
-    ASSERT_EQ(groups.size(), want.size());
-    std::int64_t spilled = 0;
-    for (const auto &g : groups) {
-        EXPECT_EQ(g.aggregates[0], want[g.groupId[0]]);
-        spilled += g.fromSpill;
-    }
-    EXPECT_EQ(spilled, gb.stats().groupsSpilled);
+    GroupColumns groups = gb.finish();
+    ASSERT_EQ(groups.size(), static_cast<std::int64_t>(want.size()));
+    for (std::int64_t g = 0; g < groups.size(); ++g)
+        EXPECT_EQ(groups.aggregates[0][g], want[groups.ids[0][g]]);
+    EXPECT_EQ(groups.size() - groups.sramGroups,
+              gb.stats().groupsSpilled);
 }
 
 TEST(GroupByTest, MinMaxCntSemantics)
@@ -292,11 +295,11 @@ TEST(GroupByTest, MinMaxCntSemantics)
     gb.update({7}, {5, 5, 5});
     gb.update({7}, {-3, -3, -3});
     gb.update({7}, {12, 12, 12});
-    auto groups = gb.finish();
-    ASSERT_EQ(groups.size(), 1u);
-    EXPECT_EQ(groups[0].aggregates[0], -3);
-    EXPECT_EQ(groups[0].aggregates[1], 12);
-    EXPECT_EQ(groups[0].aggregates[2], 3);
+    GroupColumns groups = gb.finish();
+    ASSERT_EQ(groups.size(), 1);
+    EXPECT_EQ(groups.aggregates[0][0], -3);
+    EXPECT_EQ(groups.aggregates[1][0], 12);
+    EXPECT_EQ(groups.aggregates[2][0], 3);
 }
 
 TEST(GroupByTest, WideIdentifierFlagged)
@@ -325,8 +328,241 @@ TEST(GroupByTest, Q18StyleMassiveSpill)
         gb.update({i}, {1});
     EXPECT_EQ(gb.stats().groupsInSram, 1024);
     EXPECT_EQ(gb.stats().groupsSpilled, 100000 - 1024);
-    auto groups = gb.finish();
-    EXPECT_EQ(groups.size(), 100000u);
+    GroupColumns groups = gb.finish();
+    EXPECT_EQ(groups.size(), 100000);
+}
+
+/**
+ * Reference model of the accelerator's semantics, kept deliberately
+ * naive: per-row vectors, one std::vector per bucket field, a std::map
+ * for spill groups and a count per aggregate slot. The flat
+ * accelerator must reproduce its drain order and statistics exactly.
+ */
+class ReferenceGroupBy
+{
+  public:
+    ReferenceGroupBy(int buckets, std::vector<HwAgg> aggs)
+        : kinds(std::move(aggs)), table(buckets)
+    {
+    }
+
+    void
+    update(const std::vector<std::int64_t> &id,
+           const std::vector<std::int64_t> &vals)
+    {
+        ++stats.rowsIn;
+        std::uint64_t h = 1469598103934665603ull;
+        for (std::int64_t lane : id) {
+            for (int b = 0; b < 8; ++b) {
+                h ^= static_cast<std::uint8_t>(lane >> (8 * b));
+                h *= 1099511628211ull;
+            }
+        }
+        Group &b = table[h % table.size()];
+        if (!b.used) {
+            b = fresh(id);
+            ++stats.groupsInSram;
+        }
+        if (b.id == id) {
+            apply(b, vals);
+            return;
+        }
+        ++stats.rowsSpilled;
+        auto [it, inserted] = spill.try_emplace(id);
+        if (inserted) {
+            it->second = fresh(id);
+            ++stats.groupsSpilled;
+        }
+        apply(it->second, vals);
+    }
+
+    /** Drained groups in order: SRAM by bucket, then the map's order. */
+    std::vector<std::pair<std::vector<std::int64_t>,
+                          std::vector<std::int64_t>>>
+    finish() const
+    {
+        std::vector<std::pair<std::vector<std::int64_t>,
+                              std::vector<std::int64_t>>> out;
+        for (const Group &b : table) {
+            if (b.used)
+                out.push_back(flatten(b));
+        }
+        for (const auto &[id, g] : spill)
+            out.push_back(flatten(g));
+        return out;
+    }
+
+    GroupByStats stats;
+
+  private:
+    struct Group
+    {
+        bool used = false;
+        std::vector<std::int64_t> id, agg, cnt;
+    };
+
+    Group
+    fresh(const std::vector<std::int64_t> &id) const
+    {
+        Group g{true, id, std::vector<std::int64_t>(kinds.size(), 0),
+                std::vector<std::int64_t>(kinds.size(), 0)};
+        for (std::size_t i = 0; i < kinds.size(); ++i) {
+            if (kinds[i] == HwAgg::Min)
+                g.agg[i] = std::numeric_limits<std::int64_t>::max();
+            if (kinds[i] == HwAgg::Max)
+                g.agg[i] = std::numeric_limits<std::int64_t>::min();
+        }
+        return g;
+    }
+
+    void
+    apply(Group &g, const std::vector<std::int64_t> &vals) const
+    {
+        for (std::size_t i = 0; i < kinds.size(); ++i) {
+            switch (kinds[i]) {
+              case HwAgg::Sum: g.agg[i] += vals[i]; break;
+              case HwAgg::Min: g.agg[i] = std::min(g.agg[i], vals[i]); break;
+              case HwAgg::Max: g.agg[i] = std::max(g.agg[i], vals[i]); break;
+              case HwAgg::Cnt: g.agg[i] += 1; break;
+            }
+            g.cnt[i] += 1;
+        }
+    }
+
+    /** (id, aggregates followed by per-slot counts). */
+    static std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>>
+    flatten(const Group &g)
+    {
+        std::vector<std::int64_t> v = g.agg;
+        v.insert(v.end(), g.cnt.begin(), g.cnt.end());
+        return {g.id, v};
+    }
+
+    std::vector<HwAgg> kinds;
+    std::vector<Group> table;
+    std::map<std::vector<std::int64_t>, Group> spill;
+};
+
+/** Flatten accelerator output into the reference's shape. */
+std::vector<std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>>>
+flattenColumns(const GroupColumns &c)
+{
+    std::vector<std::pair<std::vector<std::int64_t>,
+                          std::vector<std::int64_t>>> out;
+    for (std::int64_t g = 0; g < c.size(); ++g) {
+        std::vector<std::int64_t> id, v;
+        for (const auto &lane : c.ids)
+            id.push_back(lane[g]);
+        for (const auto &slot : c.aggregates)
+            v.push_back(slot[g]);
+        for (std::size_t i = 0; i < c.aggregates.size(); ++i)
+            v.push_back(c.rows[g]); // every slot counts every row
+        out.emplace_back(std::move(id), std::move(v));
+    }
+    return out;
+}
+
+void
+expectSameStats(const GroupByStats &a, const GroupByStats &b,
+                const std::string &ctx)
+{
+    EXPECT_EQ(a.rowsIn, b.rowsIn) << ctx;
+    EXPECT_EQ(a.rowsSpilled, b.rowsSpilled) << ctx;
+    EXPECT_EQ(a.groupsInSram, b.groupsInSram) << ctx;
+    EXPECT_EQ(a.groupsSpilled, b.groupsSpilled) << ctx;
+}
+
+TEST(GroupByProperty, FlatTableMatchesReferenceModel)
+{
+    const std::vector<HwAgg> aggs = {HwAgg::Sum, HwAgg::Min, HwAgg::Max,
+                                     HwAgg::Cnt};
+    for (int width : {0, 1, 2, 3}) {
+        // Clustered keys arrive in ascending runs, as q18's lineitem
+        // does by orderkey, so spill groups are created already sorted.
+        struct KeySet { std::int64_t keys; bool clustered; };
+        for (KeySet ks : {KeySet{10, false}, KeySet{1024, false},
+                          KeySet{50000, false}, KeySet{50000, true}}) {
+            const std::int64_t keys = ks.keys;
+            for (int buckets : {1, 16, 1024}) {
+                std::string ctx = "width " + std::to_string(width)
+                    + " keys " + std::to_string(keys)
+                    + (ks.clustered ? " clustered" : "") + " buckets "
+                    + std::to_string(buckets);
+                AquomanConfig cfg;
+                cfg.groupByBuckets = buckets;
+                const std::int64_t rows = std::max<std::int64_t>(
+                    5000, 2 * keys);
+                // Key k maps to lanes whose last lane is a bijection of
+                // k (monotone when clustered); earlier lanes are small
+                // and signed, so spill groups tie on leading lanes and
+                // sort across signs.
+                std::vector<std::vector<std::int64_t>> id_cols(width);
+                std::vector<std::vector<std::int64_t>> val_cols(
+                    aggs.size());
+                Rng rng(static_cast<std::uint64_t>(width * 7919 + keys
+                                                   + buckets));
+                for (std::int64_t r = 0; r < rows; ++r) {
+                    std::int64_t k = ks.clustered
+                        ? r * keys / rows
+                        : rng.uniform(0, keys - 1);
+                    std::int64_t last = ks.clustered
+                        ? k - keys / 2
+                        : static_cast<std::int64_t>(
+                              static_cast<std::uint64_t>(k)
+                              * 0x9e3779b97f4a7c15ull);
+                    for (int l = 0; l < width; ++l) {
+                        id_cols[l].push_back(l + 1 == width
+                                                 ? last
+                                                 : k % (l + 3) - 1);
+                    }
+                    for (auto &v : val_cols)
+                        v.push_back(rng.uniform(-1000, 1000));
+                }
+
+                ReferenceGroupBy ref(buckets, aggs);
+                GroupByAccelerator one_row(cfg, width, aggs);
+                std::vector<std::int64_t> id(width), vals(aggs.size());
+                for (std::int64_t r = 0; r < rows; ++r) {
+                    for (int l = 0; l < width; ++l)
+                        id[l] = id_cols[l][r];
+                    for (std::size_t s = 0; s < aggs.size(); ++s)
+                        vals[s] = val_cols[s][r];
+                    ref.update(id, vals);
+                    one_row.update(id, vals);
+                }
+
+                // Columnar feed in uneven chunks that straddle the
+                // hash morsel; the Cnt column is never read.
+                GroupByAccelerator columns(cfg, width, aggs);
+                std::int64_t done = 0;
+                for (std::int64_t chunk : {std::int64_t{1}, std::int64_t{1023},
+                                           std::int64_t{1500}, rows}) {
+                    std::int64_t n = std::min(chunk, rows - done);
+                    std::vector<const std::int64_t *> ic, vc;
+                    for (const auto &c : id_cols)
+                        ic.push_back(c.data() + done);
+                    for (std::size_t s = 0; s < aggs.size(); ++s)
+                        vc.push_back(aggs[s] == HwAgg::Cnt
+                                         ? nullptr
+                                         : val_cols[s].data() + done);
+                    columns.update(ic, vc, n);
+                    done += n;
+                }
+                ASSERT_EQ(done, rows) << ctx;
+
+                auto want = ref.finish();
+                GroupColumns got = columns.finish();
+                ASSERT_EQ(flattenColumns(got), want) << ctx;
+                ASSERT_EQ(flattenColumns(one_row.finish()), want) << ctx;
+                EXPECT_EQ(got.sramGroups, ref.stats.groupsInSram) << ctx;
+                expectSameStats(columns.stats(), ref.stats, ctx);
+                expectSameStats(one_row.stats(), ref.stats, ctx);
+                if (width > 0 && keys > buckets) {
+                    EXPECT_GT(ref.stats.groupsSpilled, 0) << ctx;
+                }
+            }
+        }
+    }
 }
 
 // --------------------------------------------------- StreamingSorter
