@@ -79,7 +79,6 @@ struct Fixture
         cfg.sorterBlockBytes = std::max<std::int64_t>(
             4096,
             static_cast<std::int64_t>((1ll << 30) * ratio));
-        cfg.paperScaleRatio = 1.0 / ratio;
         return cfg;
     }
 
@@ -153,10 +152,6 @@ scaleStats(const AquomanRunStats &s, double sf)
         }
     }
     out.deviceDramPeak = static_cast<std::int64_t>(s.deviceDramPeak * k);
-    out.zonePagesConsidered =
-        static_cast<std::int64_t>(s.zonePagesConsidered * k);
-    out.zonePagesSkipped =
-        static_cast<std::int64_t>(s.zonePagesSkipped * k);
     out.spillRows = static_cast<std::int64_t>(s.spillRows * k);
     out.spillGroups = static_cast<std::int64_t>(s.spillGroups * k);
     out.dmaBytes = static_cast<std::int64_t>(s.dmaBytes * k);

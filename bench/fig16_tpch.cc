@@ -36,7 +36,7 @@ struct QueryRow
     double avgMemL, avgMemLAq;
     double fracOnDevice, cpuSaving;
     double queueWait, suspendCount, hostFinishBytes;
-    double flashBytes, zoneConsidered, zoneSkipped;
+    double flashBytes;
     OffloadClass cls;
     double wallSeconds; ///< real time of this query's functional runs
     obs::QueryProfile profile; ///< L-AQUOMAN cost attribution
@@ -196,9 +196,6 @@ main(int argc, char **argv)
         r.hostFinishBytes =
             static_cast<double>(aq40.hostResidual.hostFinishBytes);
         r.flashBytes = static_cast<double>(aq40.deviceFlashBytes);
-        r.zoneConsidered =
-            static_cast<double>(aq40.zonePagesConsidered);
-        r.zoneSkipped = static_cast<double>(aq40.zonePagesSkipped);
         r.cls = evL40.offloadClass;
 
         // Cost-attribution tree: host phase split exactly the way
@@ -326,8 +323,6 @@ main(int argc, char **argv)
             rec.add("suspend_count", r.suspendCount);
             rec.add("host_finish_bytes", r.hostFinishBytes);
             rec.add("flash_bytes", r.flashBytes);
-            rec.add("zone_pages_considered", r.zoneConsidered);
-            rec.add("zone_pages_skipped", r.zoneSkipped);
             rec.addRaw("profile", r.profile.jsonString());
             records.push_back(std::move(rec));
         }

@@ -415,24 +415,6 @@ BM_DecodeFor(benchmark::State &state)
 }
 BENCHMARK(BM_DecodeFor)->Arg(1 << 20);
 
-void
-BM_EncodedPredicate(benchmark::State &state)
-{
-    // Predicate evaluation directly on dictionary codes, no decode.
-    const std::int64_t n = state.range(0);
-    std::vector<std::int64_t> vals = codecInput(ColumnCodec::Dict, n);
-    ColumnEncoding enc = encodeValues(vals.data(), n, 8);
-    for (auto _ : state) {
-        std::int64_t matches = 0;
-        for (const EncodedPage &p : enc.pages)
-            matches += countMatchesEncoded(p, ZoneOp::Lt,
-                                           32ll * 1'000'000'007);
-        benchmark::DoNotOptimize(matches);
-    }
-    state.SetBytesProcessed(state.iterations() * n * 8);
-}
-BENCHMARK(BM_EncodedPredicate)->Arg(1 << 20);
-
 // ---------------------------------------------------------------------
 // Disabled-observability overhead check
 // ---------------------------------------------------------------------
@@ -637,7 +619,7 @@ reportKernelSections()
 
 /**
  * Morsel-size sweep (--morsel-sweep): Row Transformer throughput at
- * each candidate AQUOMAN_MORSEL value, 4K to 64K. Informational — the
+ * each candidate morsel size, 4K to 64K. Informational — the
  * winner is recorded as kPeBatchRows's default. Returns 0 always.
  */
 int
@@ -753,66 +735,6 @@ checkBatchSpeedup()
     return 0;
 }
 
-/**
- * CI zone-map gate (--check-skip-rate): a q6-style one-year window
- * over a *clustered* (sorted) synthetic shipdate column must let the
- * page zone maps skip at least half the pages. Real TPC-H shipdate is
- * unclustered, so fig16 sees ~0 skips; this gate covers the layout the
- * zone maps are designed for. Also cross-checks soundness: the pages
- * that survive pruning must hold every matching row.
- */
-int
-checkSkipRate()
-{
-    constexpr std::int64_t kRows = 1 << 21;
-    constexpr std::int64_t kSpanDays = 2466; // 1992..1998, like TPC-H
-    constexpr std::int64_t kBaseDay = 8036;  // 1992-01-01
-    std::vector<std::int64_t> days(kRows);
-    for (std::int64_t i = 0; i < kRows; ++i)
-        days[i] = kBaseDay + i * kSpanDays / kRows;
-    ColumnEncoding enc = encodeValues(days.data(), kRows, 4);
-
-    // l_shipdate >= 1995-01-01 AND l_shipdate < 1996-01-01.
-    const std::int64_t lo = kBaseDay + 1096;
-    const std::int64_t hi = lo + 365;
-    std::int64_t skipped = 0, all_rows_match = 0, kept_rows_match = 0;
-    for (const EncodedPage &p : enc.pages) {
-        bool skip =
-            zoneCompare(p.zone, ZoneOp::Ge, lo) == ZoneVerdict::NonePass
-            || zoneCompare(p.zone, ZoneOp::Lt, hi)
-                == ZoneVerdict::NonePass;
-        std::int64_t m = 0;
-        if (countMatchesEncoded(p, ZoneOp::Ge, lo) > 0)
-            m = countMatchesEncoded(p, ZoneOp::Lt, hi)
-                + countMatchesEncoded(p, ZoneOp::Ge, lo) - p.rows;
-        m = std::max<std::int64_t>(m, 0);
-        all_rows_match += m;
-        if (skip)
-            ++skipped;
-        else
-            kept_rows_match += m;
-    }
-    double rate = static_cast<double>(skipped) / enc.numPages();
-    std::printf("zone-map skip rate: %lld of %lld pages skipped "
-                "(%.1f%%) on clustered q6 window (gate: >= 50%%)\n",
-                static_cast<long long>(skipped),
-                static_cast<long long>(enc.numPages()), rate * 100.0);
-    if (kept_rows_match != all_rows_match) {
-        std::fprintf(stderr,
-                     "FAIL: pruning dropped matching rows (%lld of "
-                     "%lld survive)\n",
-                     static_cast<long long>(kept_rows_match),
-                     static_cast<long long>(all_rows_match));
-        return 1;
-    }
-    if (rate < 0.5) {
-        std::fprintf(stderr, "FAIL: skip rate %.1f%% < 50%%\n",
-                     rate * 100.0);
-        return 1;
-    }
-    return 0;
-}
-
 } // namespace
 } // namespace aquoman
 
@@ -821,14 +743,11 @@ main(int argc, char **argv)
 {
     // Strip our flags before google-benchmark sees the argument list.
     bool check_batch = false;
-    bool check_skip = false;
     bool morsel_sweep = false;
     int out_argc = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::string_view(argv[i]) == "--check-batch-speedup")
             check_batch = true;
-        else if (std::string_view(argv[i]) == "--check-skip-rate")
-            check_skip = true;
         else if (std::string_view(argv[i]) == "--morsel-sweep")
             morsel_sweep = true;
         else
@@ -838,12 +757,10 @@ main(int argc, char **argv)
 
     if (int rc = aquoman::checkDisabledObservabilityOverhead())
         return rc;
-    if (check_batch || check_skip || morsel_sweep) {
+    if (check_batch || morsel_sweep) {
         int rc = 0;
         if (check_batch)
             rc = aquoman::checkBatchSpeedup();
-        if (rc == 0 && check_skip)
-            rc = aquoman::checkSkipRate();
         if (rc == 0 && morsel_sweep)
             rc = aquoman::morselSweep();
         return rc;

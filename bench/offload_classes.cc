@@ -35,11 +35,11 @@ main()
         std::printf("q%-4d %-8s %10zu %12zu %12lld  %s\n", q,
                     offloadClassName(ev.offloadClass),
                     r.stats.deviceStages.size(),
-                    r.stats.hostStages.size(),
+                    r.stats.suspensions.size(),
                     static_cast<long long>(r.stats.spillGroups),
-                    r.stats.hostStages.empty()
+                    r.stats.suspensions.empty()
                         ? "-"
-                        : r.stats.hostStages[0].second.substr(0, 60)
+                        : r.stats.suspensions[0].detail.substr(0, 60)
                               .c_str());
     }
     std::printf("\n%d queries caused Aggregate Group-By spill-overs at "

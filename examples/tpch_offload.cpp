@@ -74,8 +74,9 @@ main(int argc, char **argv)
     std::printf("\noffload decision per stage:\n");
     for (const auto &s : off.stats.deviceStages)
         std::printf("  [device] %s\n", s.c_str());
-    for (const auto &[s, why] : off.stats.hostStages)
-        std::printf("  [host]   %s  (%s)\n", s.c_str(), why.c_str());
+    for (const StageSuspension &s : off.stats.suspensions)
+        std::printf("  [host]   %s  (%s)\n", s.stage.c_str(),
+                    s.detail.c_str());
 
     std::printf("\nTable-Task log:\n");
     for (const auto &line : off.stats.taskLog)

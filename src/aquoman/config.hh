@@ -55,17 +55,11 @@ struct AquomanConfig
     /** Fan-in of each merger layer in the streaming sorter. */
     int sorterMergeFanIn = 256;
 
-    /** Row-Mask Vector circular buffer capacity in bytes. */
-    std::int64_t rowMaskBufferBytes = 256 << 10;
-
-    /** Depth of the flash command queue feeding the pipeline. */
-    int flashQueueDepth = 128;
-
     /**
      * Ratio between the paper's SF-1000 dataset and the simulated one
-     * (1000 / sf). Used by the memory model to size RowID
-     * representations as they would be at the paper's scale while
-     * running functionally on a smaller dataset.
+     * (1000 / sf). No model code reads it; it remains only because
+     * perfbench/main.cc sets it, and goes when that benchmark is next
+     * redefined.
      */
     double paperScaleRatio = 1.0;
 

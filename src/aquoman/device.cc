@@ -410,226 +410,6 @@ struct AquomanDevice::Impl
         accountFlash(bytes);
     }
 
-    /** One zone-map-eligible conjunct: a visible column compared (or
-     *  IN-listed) against integer constants. */
-    struct ZonePred
-    {
-        std::string column;
-        bool inList = false;
-        ZoneOp op = ZoneOp::Eq;
-        std::int64_t value = 0;
-        ColumnType constType = ColumnType::Int64;
-        const std::vector<std::int64_t> *list = nullptr;
-    };
-
-    static bool
-    zonePredFor(const ExprPtr &e, ZonePred *out)
-    {
-        if (e->kind == ExprKind::InList) {
-            const ExprPtr &c0 = e->children[0];
-            if (c0->kind != ExprKind::ColRef || e->listVals.empty()
-                || !e->listStrs.empty())
-                return false;
-            out->column = c0->column;
-            out->inList = true;
-            out->list = &e->listVals;
-            return true;
-        }
-        if (e->kind != ExprKind::Compare)
-            return false;
-        const ExprPtr &a = e->children[0];
-        const ExprPtr &b = e->children[1];
-        const Expr *colref = nullptr;
-        const Expr *konst = nullptr;
-        bool flipped = false;
-        if (a->kind == ExprKind::ColRef
-            && b->kind == ExprKind::Const) {
-            colref = a.get();
-            konst = b.get();
-        } else if (b->kind == ExprKind::ColRef
-                   && a->kind == ExprKind::Const) {
-            colref = b.get();
-            konst = a.get();
-            flipped = true;
-        } else {
-            return false;
-        }
-        switch (e->cmpOp) {
-          case CmpOp::Eq: out->op = ZoneOp::Eq; break;
-          case CmpOp::Ne: out->op = ZoneOp::Ne; break;
-          case CmpOp::Lt:
-            out->op = flipped ? ZoneOp::Gt : ZoneOp::Lt;
-            break;
-          case CmpOp::Le:
-            out->op = flipped ? ZoneOp::Ge : ZoneOp::Le;
-            break;
-          case CmpOp::Gt:
-            out->op = flipped ? ZoneOp::Lt : ZoneOp::Gt;
-            break;
-          case CmpOp::Ge:
-            out->op = flipped ? ZoneOp::Le : ZoneOp::Ge;
-            break;
-        }
-        out->column = colref->column;
-        out->value = konst->constVal;
-        out->constType = konst->resultType;
-        return true;
-    }
-
-    /**
-     * Row intervals of the scanned table that survive zone-map
-     * pruning: rows of pages whose zone maps prove no row can
-     * satisfy one of the scan's eligible conjuncts are excluded
-     * (sound — those rows fail the whole AND), the complement over
-     * [0, total_rows) is returned merged and ascending.
-     */
-    std::vector<std::pair<std::int64_t, std::int64_t>>
-    zoneSurvivingIntervals(const DeviceRelation &rel,
-                           const std::vector<ExprPtr> &conjuncts,
-                           std::int64_t total_rows)
-    {
-        std::vector<std::pair<std::int64_t, std::int64_t>> excluded;
-        for (const auto &c : conjuncts) {
-            ZonePred zp;
-            if (!zonePredFor(c, &zp))
-                continue;
-            const DevCol &dc = resolve(rel, zp.column);
-            if (dc.dataColIdx >= 0)
-                continue;
-            const ColumnLayoutMeta *enc =
-                encodingFor(rel.leafRefs[dc.leafIdx], dc.baseColumn);
-            if (!enc)
-                continue;
-            // The evaluator compares decimals and integers by scaling
-            // the non-decimal side by kDecimalScale; mirror that here
-            // so the zone verdicts match evalPredicate exactly.
-            const Column &src = baseTable(rel.leafRefs[dc.leafIdx]
-                                              .table)
-                                    .col(dc.baseColumn);
-            bool col_dec = src.type() == ColumnType::Decimal;
-            bool cst_dec = zp.constType == ColumnType::Decimal;
-            std::int64_t cval = zp.value;
-            if (!zp.inList && col_dec && !cst_dec)
-                cval *= kDecimalScale;
-            for (const PageBlockMeta &p : enc->pages) {
-                PageZone z = p.zone;
-                if (!zp.inList && cst_dec && !col_dec
-                    && !z.allNull()) {
-                    z.min *= kDecimalScale;
-                    z.max *= kDecimalScale;
-                }
-                ZoneVerdict v = zp.inList
-                    ? zoneInList(z, *zp.list)
-                    : zoneCompare(z, zp.op, cval);
-                if (v == ZoneVerdict::NonePass)
-                    excluded.emplace_back(p.firstRow,
-                                          p.firstRow + p.rows);
-            }
-        }
-        std::sort(excluded.begin(), excluded.end());
-        std::vector<std::pair<std::int64_t, std::int64_t>> surviving;
-        std::int64_t at = 0;
-        for (const auto &[b, e] : excluded) {
-            if (b > at)
-                surviving.emplace_back(at, b);
-            at = std::max(at, e);
-        }
-        if (at < total_rows)
-            surviving.emplace_back(at, total_rows);
-        return surviving;
-    }
-
-    /**
-     * Charge the flash traffic of a leaf-scan filter: the page-touch
-     * read of every predicate column, in column order (both the
-     * scalar oracle and the batched Row Selector charge through here,
-     * so modelled traffic is independent of evaluation strategy). On
-     * encoded tables the per-page zone maps are consulted first:
-     * pages that cannot satisfy the scan's conjuncts are skipped —
-     * not read, not charged — and every predicate column fetches
-     * only its pages overlapping the surviving row ranges (late
-     * materialization of the scan).
-     *
-     * @p charge is false for root-level filters over a pristine base
-     * scan: those sites never priced their predicate stream (the
-     * columns are charged where they materialize downstream), so only
-     * the zone-map verdicts are recorded there — charging sites stay
-     * in parity with the uncompressed oracle.
-     */
-    void
-    chargeFilterScan(const DeviceRelation &rel,
-                     const std::vector<std::string> &cols,
-                     const std::vector<ExprPtr> &conjuncts,
-                     bool charge = true)
-    {
-        if (!compressionEnabled() || rel.leafRefs.size() != 1) {
-            // Raw-oracle path: exactly the per-column gather charges.
-            if (charge) {
-                for (const auto &c : cols)
-                    chargeGather(rel, c);
-            }
-            return;
-        }
-        std::int64_t total_rows =
-            baseTable(rel.leafRefs[0].table).numRows();
-        auto surviving =
-            zoneSurvivingIntervals(rel, conjuncts, total_rows);
-        std::int64_t surv_rows = 0;
-        for (const auto &[b, e] : surviving)
-            surv_rows += e - b;
-        for (const auto &name : cols) {
-            const DevCol &dc = resolve(rel, name);
-            if (dc.dataColIdx >= 0)
-                continue; // device DRAM read: no flash traffic
-            const LeafRef &ref = rel.leafRefs[dc.leafIdx];
-            const Table &t = baseTable(ref.table);
-            const Column &src = t.col(dc.baseColumn);
-            int width = columnTypeWidth(src.type());
-            std::int64_t heap_bytes =
-                gatherHeapBytes(rel, ref, dc, src);
-            const ColumnLayoutMeta *enc =
-                encodingFor(ref, dc.baseColumn);
-            if (!enc) {
-                if (charge) {
-                    accountFlash(pageTouchBytes(t.numRows(), width,
-                                                rel.rows)
-                                 + heap_bytes);
-                }
-                continue;
-            }
-            // Pages of this column overlapping a surviving interval.
-            std::int64_t surv_pages = 0;
-            std::int64_t surv_page_rows = 0;
-            std::int64_t surv_bytes = 0;
-            std::size_t ii = 0;
-            for (const PageBlockMeta &p : enc->pages) {
-                std::int64_t pb = p.firstRow;
-                std::int64_t pe = p.firstRow + p.rows;
-                while (ii < surviving.size()
-                       && surviving[ii].second <= pb)
-                    ++ii;
-                if (ii < surviving.size()
-                    && surviving[ii].first < pe) {
-                    ++surv_pages;
-                    surv_page_rows += p.rows;
-                    surv_bytes += p.byteLen;
-                }
-            }
-            stats.zonePagesConsidered += enc->numPages();
-            stats.zonePagesSkipped += enc->numPages() - surv_pages;
-            if (!charge)
-                continue;
-            std::int64_t selected =
-                std::min(rel.rows, surv_page_rows);
-            std::int64_t bytes = encodedTouchBytes(
-                surv_pages, surv_page_rows, surv_bytes, selected);
-            std::int64_t logical =
-                pageTouchBytes(surv_page_rows, width, selected);
-            accountFlash(bytes + heap_bytes, 0, 0,
-                         logical + heap_bytes);
-        }
-    }
-
     /**
      * Gather one visible column at the selected tuple positions only
      * (no flash accounting; callers charge via chargeGather so the
@@ -887,20 +667,13 @@ struct AquomanDevice::Impl
         }
         std::vector<std::string> cols;
         collectColumns(pred, cols);
-        // Both evaluation strategies charge the scan identically,
-        // column by column in predicate order: zone-map pruning and
-        // compressed page-touch when the table is encoded, the raw
-        // page-touch model otherwise. A root-level filter over a
-        // pristine base scan (single-table queries: the filter sits
-        // above the scan, not below a join) still consults the zone
-        // maps — the Row Selector skips NonePass pages — but charges
-        // nothing, matching the oracle's charging sites.
+        // Both evaluation strategies charge a leaf scan identically:
+        // the Row Selector streams every page of each predicate
+        // column, in predicate order (compressed page-touch when the
+        // table is encoded, the raw page-touch model otherwise).
         if (leaf_scan) {
-            chargeFilterScan(rel, cols, conjuncts);
-        } else if (rel.leafRefs.size() == 1
-                   && rel.rows
-                       == baseTable(rel.leafRefs[0].table).numRows()) {
-            chargeFilterScan(rel, cols, conjuncts, false);
+            for (const auto &c : cols)
+                chargeGather(rel, c);
         }
         std::vector<std::int64_t> keep;
         if (!batchExecutionEnabled()) {
@@ -2016,7 +1789,6 @@ AquomanDevice::runQuery(const Query &q)
             } catch (const SuspendError &e) {
                 impl.stats.taskLog.push_back(
                     "SUSPEND stage '" + stage.id + "': " + e.reason);
-                impl.stats.hostStages.emplace_back(stage.id, e.reason);
                 impl.stats.suspensions.push_back(
                     {stage.id, e.code, e.reason});
                 ++impl.stats.hostResidual.suspendCount;
@@ -2036,8 +1808,6 @@ AquomanDevice::runQuery(const Query &q)
                 continue;
             }
         }
-        impl.stats.hostStages.emplace_back(
-            stage.id, d.onDevice ? "degraded dependency" : d.reason);
         impl.stats.suspensions.push_back(
             {stage.id,
              d.onDevice ? obs::SuspendReason::DramOverflow

@@ -99,10 +99,10 @@ struct AquomanRunStats
     std::int64_t deviceFlashBytes = 0;
 
     /**
-     * Zone-map page skipping over encoded leaf scans: pages whose
-     * zone maps were consulted, and the subset proven unable to
-     * satisfy the scan's predicates (never read, never charged).
-     * Both stay 0 on uncompressed (AQUOMAN_COMPRESS=0) runs.
+     * Retired zone-map page-skipping counters. The device no longer
+     * sets them, so they stay 0; they remain only because
+     * perfbench/main.cc still copies them, and go when that
+     * benchmark is next redefined.
      */
     std::int64_t zonePagesConsidered = 0;
     std::int64_t zonePagesSkipped = 0;
@@ -143,9 +143,6 @@ struct AquomanRunStats
     std::vector<std::string> deviceStages;
 
     /** Stages that executed on the host, with reasons. */
-    std::vector<std::pair<std::string, std::string>> hostStages;
-
-    /** Structured suspension records (mirrors hostStages, typed). */
     std::vector<StageSuspension> suspensions;
 
     /**

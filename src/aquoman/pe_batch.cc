@@ -1,7 +1,6 @@
 #include "aquoman/pe_batch.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -20,7 +19,7 @@ namespace aquoman {
 
 namespace {
 
-std::atomic<std::int64_t> g_morsel_rows{-1};
+std::atomic<std::int64_t> g_morsel_rows{kPeBatchRows};
 
 constexpr std::int64_t kMinMorselRows = 1024;
 constexpr std::int64_t kMaxMorselRows = 1 << 20;
@@ -309,32 +308,16 @@ commuteOp(PeOpcode op, PeOpcode &swapped_op)
 std::int64_t
 peBatchMorselRows()
 {
-    std::int64_t v = g_morsel_rows.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = kPeBatchRows;
-        if (const char *e = std::getenv("AQUOMAN_MORSEL")) {
-            char *end = nullptr;
-            long long parsed = std::strtoll(e, &end, 10);
-            if (end != e && parsed > 0) {
-                v = std::min(kMaxMorselRows,
-                             std::max(kMinMorselRows,
-                                      static_cast<std::int64_t>(parsed)));
-            }
-        }
-        g_morsel_rows.store(v, std::memory_order_relaxed);
-    }
-    return v;
+    return g_morsel_rows.load(std::memory_order_relaxed);
 }
 
 void
 setPeBatchMorselRows(std::int64_t rows)
 {
-    if (rows <= 0) {
-        g_morsel_rows.store(-1, std::memory_order_relaxed);
-        return;
-    }
     g_morsel_rows.store(
-        std::min(kMaxMorselRows, std::max(kMinMorselRows, rows)),
+        rows <= 0 ? kPeBatchRows
+                  : std::min(kMaxMorselRows,
+                             std::max(kMinMorselRows, rows)),
         std::memory_order_relaxed);
 }
 

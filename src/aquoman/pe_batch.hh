@@ -42,14 +42,14 @@ constexpr std::int64_t kPeBatchRows = 16384;
 
 /**
  * Effective batch-morsel row count: kPeBatchRows unless overridden via
- * the AQUOMAN_MORSEL environment variable (clamped to [1024, 1M]).
+ * setPeBatchMorselRows (clamped to [1024, 1M]).
  * Morsel size is a pure performance knob — results are bit-identical
  * at any value, as the kernels carry no cross-morsel state and the
  * scalar fallback processes rows in order regardless of the split.
  */
 std::int64_t peBatchMorselRows();
 
-/** Test hook: force the morsel size (0 restores the env/default). */
+/** Test hook: force the morsel size (0 restores the default). */
 void setPeBatchMorselRows(std::int64_t rows);
 
 /** A systolic-array program compiled for column-at-a-time execution. */

@@ -92,7 +92,7 @@ evaluateOffload(const EngineMetrics &baseline_metrics,
     // per-group state to the host mid-query (conditions 1/3 of
     // Sec. VI-E). Otherwise the query is "offloaded nearly 100% of the
     // time" and counts as Full.
-    bool suspended = !aq.deviceStages.empty() && !aq.hostStages.empty();
+    bool suspended = !aq.deviceStages.empty() && !aq.suspensions.empty();
     if (aq.deviceStages.empty() || ev.offloadFraction < 0.05) {
         ev.offloadClass = OffloadClass::None;
     } else if (suspended

@@ -6,20 +6,12 @@
  * decodable and sized to fit one flash page (kFlashPageBytes), with a
  * greedy variable rows-per-page fill: runs of near-constant values
  * pack tens of thousands of rows into a single 8KB page, random data
- * degrades gracefully to raw. Every page carries a zone map (min/max
- * over non-null values, null count) so a scan can skip whole pages
- * whose range cannot satisfy a predicate.
- *
- * All codecs are order-preserving over the stored domain (the
- * dictionary is sorted per page, FOR deltas are monotone in the
- * value), so comparison predicates can be evaluated directly on
- * dictionary codes and FOR deltas without materializing values —
- * countMatchesEncoded() is that decode-free kernel.
+ * degrades gracefully to raw.
  *
  * Null handling: the encoder treats the engine's null sentinel
  * (INT64_MIN, relalg's kNullValue) as NULL. Null positions are
  * recorded in a bit-packed bitmap ahead of the payload and excluded
- * from zone maps and codec domains, which keeps FOR ranges finite and
+ * from the codec domains, which keeps FOR ranges finite and
  * makes the round trip exact for every int64 input.
  *
  * Page block layout (little-endian):
@@ -73,72 +65,12 @@ columnCodecName(ColumnCodec c)
 inline constexpr std::int64_t kEncodedNull =
     std::numeric_limits<std::int64_t>::min();
 
-/** Zone map of one page: min/max over non-null values, null count. */
-struct PageZone
-{
-    std::int64_t min = std::numeric_limits<std::int64_t>::max();
-    std::int64_t max = std::numeric_limits<std::int64_t>::min();
-    std::int64_t rows = 0;
-    std::int64_t nullCount = 0;
-
-    bool allNull() const { return nullCount == rows; }
-};
-
-/** Comparison ops the zone maps understand (mirrors relalg CmpOp). */
-enum class ZoneOp { Eq, Ne, Lt, Le, Gt, Ge };
-
-/** Can any / every non-null row of @p z satisfy `value op c`? */
-enum class ZoneVerdict { NonePass, SomePass, AllPass };
-
-inline ZoneVerdict
-zoneCompare(const PageZone &z, ZoneOp op, std::int64_t c)
-{
-    if (z.allNull())
-        return ZoneVerdict::NonePass; // null comparisons never pass
-    bool any = false, all = false;
-    switch (op) {
-      case ZoneOp::Lt: any = z.min < c;  all = z.max < c;  break;
-      case ZoneOp::Le: any = z.min <= c; all = z.max <= c; break;
-      case ZoneOp::Gt: any = z.max > c;  all = z.min > c;  break;
-      case ZoneOp::Ge: any = z.max >= c; all = z.min >= c; break;
-      case ZoneOp::Eq:
-        any = z.min <= c && c <= z.max;
-        all = z.min == c && z.max == c;
-        break;
-      case ZoneOp::Ne:
-        any = !(z.min == c && z.max == c);
-        all = c < z.min || c > z.max;
-        break;
-    }
-    if (!any)
-        return ZoneVerdict::NonePass;
-    // A page with nulls can never report AllPass: the null rows fail.
-    if (all && z.nullCount == 0)
-        return ZoneVerdict::AllPass;
-    return ZoneVerdict::SomePass;
-}
-
-/** Zone verdict for `value IN (list)`. */
-inline ZoneVerdict
-zoneInList(const PageZone &z, const std::vector<std::int64_t> &list)
-{
-    if (z.allNull())
-        return ZoneVerdict::NonePass;
-    bool any = false;
-    for (std::int64_t v : list)
-        any = any || (z.min <= v && v <= z.max);
-    if (!any)
-        return ZoneVerdict::NonePass;
-    return ZoneVerdict::SomePass;
-}
-
 /** One encoded page block plus its metadata. */
 struct EncodedPage
 {
     ColumnCodec codec = ColumnCodec::Raw;
     std::int64_t firstRow = 0;
     std::int64_t rows = 0;
-    PageZone zone;
     std::vector<std::uint8_t> bytes; ///< self-describing block
 };
 
@@ -160,7 +92,7 @@ namespace enc_detail {
 inline constexpr std::int64_t kHeaderBytes = 16;
 /// Granularity of the greedy page fill; one group always fits a page.
 inline constexpr std::int64_t kGroupRows = 512;
-/// Rows-per-page cap: bounds zone-map granularity (and the u32 rows
+/// Rows-per-page cap: bounds page granularity (and the u32 rows
 /// field) even for perfectly compressible columns.
 inline constexpr std::int64_t kMaxRowsPerPage = 1 << 16;
 /// Dictionary candidates stop tracking past this many distinct values.
@@ -272,7 +204,9 @@ struct PageStats
     std::int64_t runs = 0; ///< over all rows, nulls included
     bool havePrev = false;
     std::int64_t prev = 0;
-    PageZone zone;
+    /// Range of the non-null values (min > max when all null).
+    std::int64_t min = std::numeric_limits<std::int64_t>::max();
+    std::int64_t max = std::numeric_limits<std::int64_t>::min();
     std::unordered_set<std::int64_t> distinct; ///< non-null values
     bool dictOverflow = false;
 
@@ -284,14 +218,12 @@ struct PageStats
         havePrev = true;
         prev = v;
         ++rows;
-        zone.rows = rows;
         if (v == kEncodedNull) {
             ++nulls;
-            zone.nullCount = nulls;
             return;
         }
-        zone.min = std::min(zone.min, v);
-        zone.max = std::max(zone.max, v);
+        min = std::min(min, v);
+        max = std::max(max, v);
         if (!dictOverflow) {
             distinct.insert(v);
             if (static_cast<std::int64_t>(distinct.size())
@@ -337,10 +269,10 @@ struct PageStats
     std::int64_t
     forSize() const
     {
-        if (zone.min > zone.max) // all null
+        if (min > max) // all null
             return kHeaderBytes + bitmapBytes() + packedBytes(rows, 1);
-        std::uint64_t range = static_cast<std::uint64_t>(zone.max)
-            - static_cast<std::uint64_t>(zone.min);
+        std::uint64_t range = static_cast<std::uint64_t>(max)
+            - static_cast<std::uint64_t>(min);
         int bits = bitsForRange(range);
         if (bits >= 64)
             return -1; // range needs full width: raw is never worse
@@ -380,7 +312,6 @@ encodePage(const std::int64_t *vals, std::int64_t first_row,
     page.codec = codec;
     page.firstRow = first_row;
     page.rows = n;
-    page.zone = stats.zone;
 
     std::vector<std::uint8_t> &out = page.bytes;
     std::uint8_t bits = 0;
@@ -404,11 +335,11 @@ encodePage(const std::int64_t *vals, std::int64_t first_row,
         break;
       }
       case ColumnCodec::For: {
-        param = stats.zone.min > stats.zone.max ? 0 : stats.zone.min;
-        std::uint64_t range = stats.zone.min > stats.zone.max
+        param = stats.min > stats.max ? 0 : stats.min;
+        std::uint64_t range = stats.min > stats.max
             ? 0
-            : static_cast<std::uint64_t>(stats.zone.max)
-                - static_cast<std::uint64_t>(stats.zone.min);
+            : static_cast<std::uint64_t>(stats.max)
+                - static_cast<std::uint64_t>(stats.min);
         bits = static_cast<std::uint8_t>(bitsForRange(range));
         break;
       }
@@ -631,139 +562,6 @@ decodePage(const std::uint8_t *p, std::size_t len,
                 dst[i] = kEncodedNull;
         }
     }
-}
-
-/**
- * Decode-free predicate kernel: rows of the page satisfying
- * `value op c`, evaluated directly on the encoded representation —
- * dictionary codes and FOR deltas are compared in the code domain
- * (both are order-preserving), RLE compares once per run. Null rows
- * never match. Used by the selector-kernel benches and the encoding
- * tests to prove code-domain evaluation matches decoded evaluation.
- */
-inline std::int64_t
-countMatchesEncoded(const EncodedPage &page, ZoneOp op,
-                    std::int64_t c)
-{
-    using namespace enc_detail;
-    ZoneVerdict zv = zoneCompare(page.zone, op, c);
-    if (zv == ZoneVerdict::NonePass)
-        return 0;
-    if (zv == ZoneVerdict::AllPass)
-        return page.rows; // zone map proves every (non-null) row passes
-
-    const std::uint8_t *p = page.bytes.data();
-    int bits = p[1];
-    bool has_nulls = p[2] != 0;
-    std::int64_t n = getScalar<std::uint32_t>(p + 4);
-    std::int64_t param = getScalar<std::int64_t>(p + 8);
-    const std::uint8_t *cursor = p + kHeaderBytes;
-    const std::uint8_t *bitmap = nullptr;
-    if (has_nulls) {
-        bitmap = cursor;
-        cursor += (n + 7) / 8;
-    }
-    auto is_null = [&](std::int64_t i) {
-        return bitmap && ((bitmap[i >> 3] >> (i & 7)) & 1);
-    };
-    auto pass = [&](std::int64_t v) {
-        switch (op) {
-          case ZoneOp::Eq: return v == c;
-          case ZoneOp::Ne: return v != c;
-          case ZoneOp::Lt: return v < c;
-          case ZoneOp::Le: return v <= c;
-          case ZoneOp::Gt: return v > c;
-          case ZoneOp::Ge: return v >= c;
-        }
-        return false;
-    };
-
-    std::int64_t count = 0;
-    switch (page.codec) {
-      case ColumnCodec::Raw: {
-        int width = bits / 8;
-        for (std::int64_t i = 0; i < n; ++i) {
-            std::int64_t v = width == 4
-                ? getScalar<std::int32_t>(cursor + i * 4)
-                : getScalar<std::int64_t>(cursor + i * 8);
-            if (!is_null(i) && pass(v))
-                ++count;
-        }
-        break;
-      }
-      case ColumnCodec::Rle: {
-        std::int64_t i = 0;
-        for (std::int64_t r = 0; r < param; ++r) {
-            auto v = getScalar<std::int64_t>(cursor);
-            auto cnt = getScalar<std::uint32_t>(cursor + 8);
-            cursor += 12;
-            // One comparison per run; nulls are a sentinel run value.
-            bool hit = v != kEncodedNull && pass(v);
-            if (hit)
-                count += cnt;
-            i += cnt;
-        }
-        break;
-      }
-      case ColumnCodec::Dict: {
-        // Map the constant into the code domain with one binary
-        // search, then compare bit-packed codes only.
-        const std::uint8_t *dict_bytes = cursor;
-        const std::uint8_t *codes = cursor + param * 8;
-        std::vector<std::int64_t> dict(param);
-        for (std::int64_t d = 0; d < param; ++d)
-            dict[d] = getScalar<std::int64_t>(dict_bytes + d * 8);
-        // lo = first code with dict[code] >= c; exact = dict[lo] == c.
-        std::int64_t lo =
-            std::lower_bound(dict.begin(), dict.end(), c)
-            - dict.begin();
-        bool exact = lo < param && dict[lo] == c;
-        auto code_pass = [&](std::uint64_t code) {
-            auto k = static_cast<std::int64_t>(code);
-            switch (op) {
-              case ZoneOp::Eq: return exact && k == lo;
-              case ZoneOp::Ne: return !(exact && k == lo);
-              case ZoneOp::Lt: return k < lo;
-              case ZoneOp::Le: return exact ? k <= lo : k < lo;
-              case ZoneOp::Gt: return exact ? k > lo : k >= lo;
-              case ZoneOp::Ge: return k >= lo;
-            }
-            return false;
-        };
-        std::int64_t fast = fastUnpackCount(
-            n, bits,
-            static_cast<std::int64_t>(page.bytes.size())
-                - (codes - p));
-        std::int64_t bitpos = 0;
-        for (std::int64_t i = 0; i < n; ++i, bitpos += bits) {
-            auto code = i < fast ? getBitsFast(codes, bitpos, bits)
-                                 : getBits(codes, bitpos, bits);
-            if (!is_null(i) && code_pass(code))
-                ++count;
-        }
-        break;
-      }
-      case ColumnCodec::For: {
-        // Compare deltas against c - base in the unsigned delta
-        // domain; out-of-range constants were settled by the zone map
-        // (SomePass implies min <= c-ish overlap) but re-check anyway.
-        std::int64_t fast = fastUnpackCount(
-            n, bits,
-            static_cast<std::int64_t>(page.bytes.size())
-                - (cursor - p));
-        std::int64_t bitpos = 0;
-        for (std::int64_t i = 0; i < n; ++i, bitpos += bits) {
-            auto delta = i < fast ? getBitsFast(cursor, bitpos, bits)
-                                  : getBits(cursor, bitpos, bits);
-            auto v = static_cast<std::int64_t>(
-                static_cast<std::uint64_t>(param) + delta);
-            if (!is_null(i) && pass(v))
-                ++count;
-        }
-        break;
-      }
-    }
-    return count;
 }
 
 } // namespace aquoman

@@ -4,7 +4,7 @@
  * compression enabled (the default, see common/compress_mode.hh) each
  * column becomes one extent of independently decodable encoded page
  * blocks — dictionary / RLE / frame-of-reference chosen per page, one
- * block per 8KB flash page, each with a zone map — plus one raw extent
+ * block per 8KB flash page — plus one raw extent
  * for the table's string heap. With AQUOMAN_COMPRESS=0 the layout is
  * the raw one: values at their on-flash width (4B for int32/date, 8B
  * for int64/decimal and varchar heap offsets), contiguous.
@@ -36,7 +36,6 @@ struct PageBlockMeta
     std::int64_t rows = 0;
     std::int64_t byteOffset = 0; ///< page-aligned offset in the extent
     std::int64_t byteLen = 0;    ///< encoded block bytes
-    PageZone zone;
 };
 
 /** Persisted encoding of one column (empty pages == stored raw). */
@@ -268,7 +267,6 @@ class TableStore
             pm.byteOffset = p * kFlashPageBytes;
             pm.byteLen =
                 static_cast<std::int64_t>(page.bytes.size());
-            pm.zone = page.zone;
             sw.write(FlashPort::Host, ext, pm.byteOffset,
                      page.bytes.data(), pm.byteLen);
             meta.pages.push_back(pm);

@@ -2,8 +2,8 @@
  * @file
  * Runtime toggle for persisted column compression. When enabled
  * (the default), flash pages hold encoded column bytes (dictionary,
- * RLE, frame-of-reference) with per-page zone maps, and the device
- * prices flash reads on compressed size. AQUOMAN_COMPRESS=0 restores
+ * RLE, frame-of-reference), and the device prices flash reads on
+ * compressed size. AQUOMAN_COMPRESS=0 restores
  * the uncompressed oracle: raw on-flash layout, the pre-compression
  * cost model, bit-identical results, modelled seconds and traces —
  * the storage analogue of the AQUOMAN_BATCH=0 scalar-execution

@@ -162,8 +162,8 @@ TEST_F(DevicePathsTest, SemiAndAntiWithResidualOnDevice)
         Query q{"sa", {{"out", plan}}};
         RelTable want = baseline(q);
         OffloadedQueryResult got = device(q);
-        ASSERT_TRUE(got.stats.hostStages.empty())
-            << got.stats.hostStages[0].second;
+        ASSERT_TRUE(got.stats.suspensions.empty())
+            << got.stats.suspensions[0].detail;
         EXPECT_EQ(got.result.col("n").get(0), want.col("n").get(0));
     }
 }
@@ -182,8 +182,8 @@ TEST_F(DevicePathsTest, RegexAcceleratorInsideTransform)
                   {}, {{"hot_total", AggKind::Sum, col("hot_val")}})}}};
     RelTable want = baseline(q);
     OffloadedQueryResult got = device(q);
-    ASSERT_TRUE(got.stats.hostStages.empty())
-        << got.stats.hostStages[0].second;
+    ASSERT_TRUE(got.stats.suspensions.empty())
+        << got.stats.suspensions[0].detail;
     EXPECT_EQ(got.result.col("hot_total").get(0),
               want.col("hot_total").get(0));
     EXPECT_TRUE(logContains(got.stats, "regexAccel"));
@@ -197,7 +197,7 @@ TEST_F(DevicePathsTest, TopKOperatorOffloads)
                              {{"e_val", true}}, 25)}}};
     RelTable want = baseline(q);
     OffloadedQueryResult got = device(q);
-    ASSERT_TRUE(got.stats.hostStages.empty());
+    ASSERT_TRUE(got.stats.suspensions.empty());
     EXPECT_TRUE(logContains(got.stats, "TOPK"));
     ASSERT_EQ(got.result.numRows(), 25);
     EXPECT_EQ(canon(got.result), canon(want));
@@ -232,7 +232,7 @@ TEST_F(DevicePathsTest, FanOutExplosionSuspends)
                              {}, {{"n", AggKind::Count, nullptr}})}}};
     RelTable want = baseline(q);
     OffloadedQueryResult got = device(q);
-    EXPECT_FALSE(got.stats.hostStages.empty());
+    EXPECT_FALSE(got.stats.suspensions.empty());
     EXPECT_EQ(got.result.col("n").get(0), want.col("n").get(0));
 }
 
@@ -246,7 +246,7 @@ TEST_F(DevicePathsTest, GroupByMinMaxAvgMatchBaseline)
                               {"n", AggKind::Count, nullptr}})}}};
     RelTable want = baseline(q);
     OffloadedQueryResult got = device(q);
-    ASSERT_TRUE(got.stats.hostStages.empty());
+    ASSERT_TRUE(got.stats.suspensions.empty());
     EXPECT_EQ(canon(got.result), canon(want));
 }
 
@@ -264,7 +264,7 @@ TEST_F(DevicePathsTest, DmaAccountedWhenHostConsumesDeviceStage)
     OffloadedQueryResult got = device(q);
     EXPECT_EQ(got.result.col("d").get(0), want.col("d").get(0));
     EXPECT_FALSE(got.stats.deviceStages.empty());
-    EXPECT_FALSE(got.stats.hostStages.empty());
+    EXPECT_FALSE(got.stats.suspensions.empty());
     EXPECT_GT(got.stats.dmaBytes, 0);
 }
 

@@ -1,6 +1,7 @@
 /** @file
  * End-to-end integration tests: every TPC-H query executed through the
- * AQUOMAN device path produces exactly the baseline engine's answer,
+ * AQUOMAN device path produces exactly the baseline engine's answer
+ * (validation parameters and generated instances alike),
  * and the offload behaviour (device/host stage split, suspensions,
  * spill-over) matches the paper's published classification.
  */
@@ -15,6 +16,7 @@
 #include "aquoman/perf_model.hh"
 #include "tpch/dbgen.hh"
 #include "tpch/queries.hh"
+#include "workload/tpch_params.hh"
 
 namespace aquoman {
 namespace {
@@ -125,6 +127,36 @@ TEST_P(AllQueriesEquivalent, DeviceResultEqualsBaseline)
 INSTANTIATE_TEST_SUITE_P(Tpch, AllQueriesEquivalent,
                          ::testing::ValuesIn(tpch::allQueryNumbers()));
 
+class GeneratedInstancesEquivalent
+    : public OffloadTest,
+      public ::testing::WithParamInterface<int>
+{
+};
+
+/**
+ * The same property beyond the validation parameters: drawn
+ * substitution parameters of every template, run over the encoded
+ * flash-resident catalog (so leaf scans take the compressed charging
+ * path), still match the software baseline row for row.
+ */
+TEST_P(GeneratedInstancesEquivalent, DeviceResultEqualsBaseline)
+{
+    int q = GetParam();
+    workload::TpchInstanceGenerator gen(1, kSf);
+    for (std::uint64_t i : {1ull, 2ull}) {
+        workload::QueryInstance inst = gen.instance(q, i);
+        Executor ex(*catalog);
+        RelTable want = ex.run(gen.build(inst));
+        AquomanDevice device(*catalog, *sw, AquomanConfig::paper40());
+        OffloadedQueryResult got = device.runQuery(gen.build(inst));
+        EXPECT_EQ(canonicalRows(got.result), canonicalRows(want))
+            << inst.name();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tpch, GeneratedInstancesEquivalent,
+                         ::testing::ValuesIn(tpch::allQueryNumbers()));
+
 TEST_F(OffloadTest, ClassificationMatchesPaper)
 {
     // Paper Sec. VIII-B: 14 fully offloaded; {11,17,18,22} suspended at
@@ -144,10 +176,10 @@ TEST_F(OffloadTest, ClassificationMatchesPaper)
                   offloadClassName(want))
             << "q" << q << " fraction=" << ev.offloadFraction
             << " devStages=" << r.stats.deviceStages.size()
-            << " hostStages=" << r.stats.hostStages.size()
-            << (r.stats.hostStages.empty()
+            << " suspensions=" << r.stats.suspensions.size()
+            << (r.stats.suspensions.empty()
                     ? ""
-                    : " firstReason=" + r.stats.hostStages[0].second);
+                    : " firstReason=" + r.stats.suspensions[0].detail);
     }
 }
 
@@ -188,10 +220,10 @@ TEST_F(OffloadTest, MidPlanAggregateSuspends)
     // avg_qty runs on the device; threshold and the final join are
     // suspended to the host (Sec. VI-E condition 1).
     EXPECT_FALSE(r.stats.deviceStages.empty());
-    EXPECT_FALSE(r.stats.hostStages.empty());
+    EXPECT_FALSE(r.stats.suspensions.empty());
     bool saw_cond1 = false;
-    for (const auto &[stage, reason] : r.stats.hostStages)
-        saw_cond1 |= reason.find("not buffered") != std::string::npos;
+    for (const StageSuspension &s : r.stats.suspensions)
+        saw_cond1 |= s.detail.find("not buffered") != std::string::npos;
     EXPECT_TRUE(saw_cond1);
 }
 

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <limits>
 
-#include <cstdlib>
 
 #include "aquoman/pe_batch.hh"
 #include "common/date.hh"
@@ -620,10 +619,8 @@ TEST(PeBatchTest, MorselOverrideClampsAndRestores)
     EXPECT_EQ(peBatchMorselRows(), 1024);
     setPeBatchMorselRows(std::int64_t{1} << 22); // above ceiling
     EXPECT_EQ(peBatchMorselRows(), std::int64_t{1} << 20);
-    setPeBatchMorselRows(0); // back to env/default
-    if (std::getenv("AQUOMAN_MORSEL") == nullptr) {
-        EXPECT_EQ(peBatchMorselRows(), kPeBatchRows);
-    }
+    setPeBatchMorselRows(0); // back to the default
+    EXPECT_EQ(peBatchMorselRows(), kPeBatchRows);
 }
 
 } // namespace

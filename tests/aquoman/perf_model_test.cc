@@ -35,7 +35,7 @@ TEST(PerfModelTest, HostOnlyQueryIsNone)
 {
     AquomanRunStats aq;
     aq.hostResidual = baselineTrace();
-    aq.hostStages = {{"out", "regex"}};
+    aq.suspensions = {{"out", obs::SuspendReason::StringHeapRegex, "regex"}};
     SystemEvaluation ev = evaluateOffload(baselineTrace(), aq,
                                           HostModel(HostConfig::large()));
     EXPECT_EQ(ev.offloadClass, OffloadClass::None);
@@ -48,7 +48,8 @@ TEST(PerfModelTest, SuspendedWithBigHostTailIsPartial)
     AquomanRunStats aq;
     aq.deviceSeconds = 20.0;
     aq.deviceStages = {"s1"};
-    aq.hostStages = {{"out", "mid-plan aggregate"}};
+    aq.suspensions = {
+        {"out", obs::SuspendReason::MidPlanGroupBy, "mid-plan aggregate"}};
     aq.hostResidual.rowOps = 5e10; // half the baseline work remains
     SystemEvaluation ev = evaluateOffload(baselineTrace(), aq,
                                           HostModel(HostConfig::large()));
@@ -60,7 +61,8 @@ TEST(PerfModelTest, SuspendedWithSpillIsPartialEvenWhenFast)
     AquomanRunStats aq;
     aq.deviceSeconds = 40.0;
     aq.deviceStages = {"s1"};
-    aq.hostStages = {{"out", "mid-plan aggregate"}};
+    aq.suspensions = {
+        {"out", obs::SuspendReason::MidPlanGroupBy, "mid-plan aggregate"}};
     aq.hostResidual.rowOps = 1e6;
     aq.spillGroups = 5000; // q11-style per-group spill to the host
     SystemEvaluation ev = evaluateOffload(baselineTrace(), aq,
@@ -74,7 +76,8 @@ TEST(PerfModelTest, SuspendedWithTinyCleanTailIsFull)
     AquomanRunStats aq;
     aq.deviceSeconds = 40.0;
     aq.deviceStages = {"revenue"};
-    aq.hostStages = {{"maxrev", "aggregate output"}};
+    aq.suspensions = {
+        {"maxrev", obs::SuspendReason::MidPlanGroupBy, "aggregate output"}};
     aq.hostResidual.rowOps = 1e6;
     SystemEvaluation ev = evaluateOffload(baselineTrace(), aq,
                                           HostModel(HostConfig::large()));

@@ -1,10 +1,8 @@
 /** @file
  * Property tests for the persisted column codecs (Raw/RLE/Dict/FOR):
  * every value shape must round-trip bit-exactly through encode ->
- * flash persist -> decode, the per-page zone maps must agree with
- * brute force and never prune a matching page, code-domain predicate
- * evaluation must match decoded evaluation, and compressed device
- * runs must stay bit-deterministic across thread counts.
+ * flash persist -> decode, and compressed device runs must stay
+ * bit-deterministic across thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -128,99 +126,6 @@ TEST(EncodingProperty, RoundTripsEveryShapeThroughFlash)
         expectRoundTrip(s);
 }
 
-TEST(EncodingProperty, ZoneMapsMatchBruteForce)
-{
-    for (const Shape &s : valueShapes()) {
-        ColumnEncoding enc = encodeValues(
-            s.vals.data(), static_cast<std::int64_t>(s.vals.size()),
-            s.width);
-        for (const EncodedPage &p : enc.pages) {
-            PageZone brute;
-            brute.rows = p.rows;
-            for (std::int64_t i = 0; i < p.rows; ++i) {
-                std::int64_t v = s.vals[p.firstRow + i];
-                if (v == kEncodedNull) {
-                    ++brute.nullCount;
-                    continue;
-                }
-                brute.min = std::min(brute.min, v);
-                brute.max = std::max(brute.max, v);
-            }
-            EXPECT_EQ(p.zone.rows, brute.rows) << s.name;
-            EXPECT_EQ(p.zone.nullCount, brute.nullCount) << s.name;
-            if (!brute.allNull()) {
-                EXPECT_EQ(p.zone.min, brute.min) << s.name;
-                EXPECT_EQ(p.zone.max, brute.max) << s.name;
-            }
-        }
-    }
-}
-
-std::int64_t
-bruteCount(const std::vector<std::int64_t> &vals, std::int64_t first,
-           std::int64_t rows, ZoneOp op, std::int64_t c)
-{
-    std::int64_t count = 0;
-    for (std::int64_t i = first; i < first + rows; ++i) {
-        std::int64_t v = vals[i];
-        if (v == kEncodedNull)
-            continue;
-        bool hit = false;
-        switch (op) {
-          case ZoneOp::Eq: hit = v == c; break;
-          case ZoneOp::Ne: hit = v != c; break;
-          case ZoneOp::Lt: hit = v < c; break;
-          case ZoneOp::Le: hit = v <= c; break;
-          case ZoneOp::Gt: hit = v > c; break;
-          case ZoneOp::Ge: hit = v >= c; break;
-        }
-        count += hit;
-    }
-    return count;
-}
-
-/**
- * Zone verdicts must be sound (NonePass really excludes every row,
- * AllPass really admits every non-null row) and the code-domain
- * kernel must agree with evaluation over the decoded values, for
- * every codec, op and a constant sweep spanning each page's range.
- */
-TEST(EncodingProperty, ZoneVerdictsAndCodeDomainEvalAreExact)
-{
-    constexpr ZoneOp kOps[] = {ZoneOp::Eq, ZoneOp::Ne, ZoneOp::Lt,
-                               ZoneOp::Le, ZoneOp::Gt, ZoneOp::Ge};
-    for (const Shape &s : valueShapes()) {
-        ColumnEncoding enc = encodeValues(
-            s.vals.data(), static_cast<std::int64_t>(s.vals.size()),
-            s.width);
-        for (const EncodedPage &p : enc.pages) {
-            std::vector<std::int64_t> consts{0, 42};
-            if (!p.zone.allNull()) {
-                for (std::int64_t c :
-                     {p.zone.min - 1, p.zone.min,
-                      p.zone.min / 2 + p.zone.max / 2, p.zone.max,
-                      p.zone.max + 1})
-                    consts.push_back(c);
-            }
-            for (ZoneOp op : kOps) {
-                for (std::int64_t c : consts) {
-                    std::int64_t expected =
-                        bruteCount(s.vals, p.firstRow, p.rows, op, c);
-                    EXPECT_EQ(countMatchesEncoded(p, op, c), expected)
-                        << s.name << " op "
-                        << static_cast<int>(op) << " c " << c;
-                    ZoneVerdict v = zoneCompare(p.zone, op, c);
-                    if (v == ZoneVerdict::NonePass)
-                        EXPECT_EQ(expected, 0) << s.name;
-                    if (v == ZoneVerdict::AllPass)
-                        EXPECT_EQ(expected, p.rows - p.zone.nullCount)
-                            << s.name;
-                }
-            }
-        }
-    }
-}
-
 /** Canonical multiset-of-rows form for result comparison. */
 std::vector<std::string>
 canonicalRows(const RelTable &t)
@@ -244,8 +149,8 @@ canonicalRows(const RelTable &t)
 
 /**
  * Compressed device runs are part of the simulator's determinism
- * contract: results, modelled seconds, flash bytes, and the zone-map
- * counters must be bit-identical whether the pool runs with 1 worker
+ * contract: results, modelled seconds and flash bytes must be
+ * bit-identical whether the pool runs with 1 worker
  * or 4 (AQUOMAN_THREADS={1,4}), with compression on or off.
  */
 TEST(EncodingDeterminism, DeviceRunsAreThreadCountInvariant)
@@ -282,14 +187,6 @@ TEST(EncodingDeterminism, DeviceRunsAreThreadCountInvariant)
             EXPECT_EQ(a.deviceSeconds, b.deviceSeconds) << "q" << q;
             EXPECT_EQ(a.deviceFlashBytes, b.deviceFlashBytes)
                 << "q" << q;
-            EXPECT_EQ(a.zonePagesConsidered, b.zonePagesConsidered)
-                << "q" << q;
-            EXPECT_EQ(a.zonePagesSkipped, b.zonePagesSkipped)
-                << "q" << q;
-            if (!compress) {
-                EXPECT_EQ(a.zonePagesConsidered, 0) << "q" << q;
-                EXPECT_EQ(a.zonePagesSkipped, 0) << "q" << q;
-            }
         }
     }
     ThreadPool::setGlobalParallelism(
