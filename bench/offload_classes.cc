@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "aquoman/query_profile.hh"
 #include "bench_util.hh"
 
 using namespace aquoman;
@@ -48,7 +49,7 @@ main()
 
     header("Table-Task program of q6 (paper Fig. 5 style)");
     OffloadedQueryResult q6 = fx.offload(6, fx.scaledDevice(40ll << 30));
-    for (const auto &line : q6.stats.taskLog)
-        std::printf("  %s\n", line.c_str());
+    for (const TableTaskRecord &t : q6.stats.tasks)
+        std::printf("  %s\n", describeTask(t).c_str());
     return 0;
 }

@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "aquoman/device.hh"
+#include "aquoman/query_profile.hh"
 #include "common/rng.hh"
 
 using namespace aquoman;
@@ -100,8 +101,8 @@ main()
 
     std::printf("\nTable-Task program (compare with the paper's "
                 "Fig. 5):\n");
-    for (const auto &line : off.stats.taskLog)
-        std::printf("  %s\n", line.c_str());
+    for (const TableTaskRecord &t : off.stats.tasks)
+        std::printf("  %s\n", describeTask(t).c_str());
 
     std::printf("\ndevice DRAM peak: %.1f KB (row masks + RowIDs "
                 "only); flash streamed: %.1f MB\n",

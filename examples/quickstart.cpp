@@ -20,6 +20,7 @@
 #include <memory>
 
 #include "aquoman/device.hh"
+#include "aquoman/query_profile.hh"
 #include "aquoman/perf_model.hh"
 #include "common/rng.hh"
 
@@ -115,8 +116,8 @@ main()
                 same ? "yes" : "NO");
 
     std::printf("\nWhat the device did:\n");
-    for (const auto &line : off.stats.taskLog)
-        std::printf("  %s\n", line.c_str());
+    for (const TableTaskRecord &t : off.stats.tasks)
+        std::printf("  %s\n", describeTask(t).c_str());
     std::printf("\ndevice flash traffic: %.1f MB; host residual work: "
                 "%.0f row-ops (just the final sort)\n",
                 off.stats.deviceFlashBytes / 1e6,

@@ -15,6 +15,7 @@
 #include <cstdlib>
 
 #include "aquoman/device.hh"
+#include "aquoman/query_profile.hh"
 #include "aquoman/perf_model.hh"
 #include "tpch/dbgen.hh"
 #include "tpch/queries.hh"
@@ -79,8 +80,8 @@ main(int argc, char **argv)
                     s.detail.c_str());
 
     std::printf("\nTable-Task log:\n");
-    for (const auto &line : off.stats.taskLog)
-        std::printf("  %s\n", line.c_str());
+    for (const TableTaskRecord &t : off.stats.tasks)
+        std::printf("  %s\n", describeTask(t).c_str());
 
     HostModel host(HostConfig::large());
     SystemEvaluation ev = evaluateOffload(engine.metrics(), off.stats,

@@ -1,10 +1,10 @@
 #include "aquoman/device.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "aquoman/pe_batch.hh"
 #include "aquoman/swissknife/groupby.hh"
@@ -29,7 +29,6 @@ namespace {
 struct SuspendError
 {
     std::string reason;
-    bool dram = false;
     /// Structured classification of the suspension (Sec. VI-E).
     obs::SuspendReason code = obs::SuspendReason::UnsupportedOp;
 };
@@ -66,14 +65,6 @@ struct DeviceRelation
 
     /** DRAM slot holding this relation ("" when streaming / shared). */
     std::string dramSlot;
-
-    std::int64_t
-    tupleBytes() const
-    {
-        return rows * 8
-            * (static_cast<std::int64_t>(rowids.size())
-               + static_cast<std::int64_t>(dataCols.size()));
-    }
 };
 
 } // namespace
@@ -85,10 +76,10 @@ struct DeviceRelation
 struct AquomanDevice::Impl
 {
     const Catalog &catalog;
-    ControllerSwitch &sw;
     const AquomanConfig &config;
     DeviceMemoryManager dram;
     StreamingSorter sorter;
+    DeviceCostModel model;
     AquomanRunStats stats;
     Executor residual;          ///< host engine for suspended work
     int slotCounter = 0;
@@ -96,18 +87,18 @@ struct AquomanDevice::Impl
     std::map<std::string, DeviceRelation> deviceRels;
     std::map<std::string, RelTable> stageTables;
 
-    /** deviceSeconds / deviceFlashBytes at the last task boundary. */
+    /** deviceSeconds at the last task boundary. */
     double taskMarkSeconds = 0.0;
-    std::int64_t taskMarkBytes = 0;
 
     /**
-     * Seconds accrued since the last task boundary, split over the
-     * pipeline resources. deviceSeconds is always derived as
-     * taskMarkSeconds + taskStages.total(), so when the task closes
+     * The Table Task being accrued: its work since the last boundary,
+     * that work's price split over the pipeline resources, its flash
+     * bytes and predicate counts. deviceSeconds is always derived as
+     * taskMarkSeconds + openTask.stages.total(), so when the task closes
      * its stage decomposition sums to its seconds bitwise and the
      * per-task seconds tile [0, deviceSeconds] exactly.
      */
-    obs::StageSeconds taskStages;
+    TableTaskRecord openTask;
 
     /** Compiled stage currently executing ("" outside the loop). */
     std::string currentStage;
@@ -118,8 +109,8 @@ struct AquomanDevice::Impl
 
     Impl(const Catalog &cat, ControllerSwitch &sw_,
          const AquomanConfig &cfg)
-        : catalog(cat), sw(sw_), config(cfg), dram(cfg.dramBytes),
-          sorter(cfg), residual(cat, &sw_)
+        : catalog(cat), config(cfg), dram(cfg.dramBytes),
+          sorter(cfg), model(cfg, sw_.dev().cfg()), residual(cat, &sw_)
     {
         // Host-residual operators report into the run's profile tree.
         residual.setProfileSink(&stats.hostOps);
@@ -127,37 +118,40 @@ struct AquomanDevice::Impl
 
     // ---------------------------------------------------------- util
 
-    /**
-     * Close the current Table Task: everything accrued since the last
-     * boundary (pipeline time, flash traffic) is attributed to it, so
-     * the records exactly partition the query's device totals. @p rel,
-     * when rooted in a single base table, makes the task shardable
-     * across the devices holding that table's stripes.
-     */
-    /** Attribute @p t modelled seconds of the current task to @p s. */
+    /** Append @p w to the open Table Task and accrue its price. */
     void
-    accrue(obs::PipeStage s, double t)
+    accrue(const WorkItem &w)
     {
-        taskStages.add(s, t);
-        stats.deviceSeconds = taskMarkSeconds + taskStages.total();
+        WorkPrice p = model.price(w);
+        openTask.work.push_back(w);
+        openTask.stages.add(p.stage, p.seconds);
+        openTask.flashBytes += p.flashBytes;
+        stats.deviceFlashBytes += p.flashBytes;
+        stats.deviceSeconds = taskMarkSeconds + openTask.stages.total();
     }
 
+    /**
+     * Close the open Table Task: everything accrued since the last
+     * boundary (work, pipeline time, flash traffic) is attributed to
+     * it, so the records exactly partition the query's device totals.
+     * @p rel, when rooted in a single base table, makes the task
+     * shardable across the devices holding that table's stripes.
+     */
     void
     recordTask(const std::string &what,
                const DeviceRelation *rel = nullptr,
                std::int64_t rows_in = -1, std::int64_t rows_out = -1)
     {
-        TableTaskRecord rec;
+        TableTaskRecord rec = std::exchange(openTask, TableTaskRecord{});
+        rec.work.shrink_to_fit(); // records outlive the run
         rec.what = what;
         rec.stage = currentStage;
         rec.rowsIn = rows_in;
         rec.rowsOut = rows_out;
         if (rel && rel->leafRefs.size() == 1)
             rec.table = rel->leafRefs[0].table;
-        rec.seconds = taskStages.total();
-        rec.flashBytes = stats.deviceFlashBytes - taskMarkBytes;
-        rec.stages = taskStages;
-        rec.bottleneck = taskStages.bottleneck();
+        rec.seconds = rec.stages.total();
+        rec.bottleneck = rec.stages.bottleneck();
         if (taskTrack >= 0) {
             // The marks give this span exact start/end: adjacent task
             // spans tile [0, deviceSeconds] with no gaps or overlaps.
@@ -168,8 +162,6 @@ struct AquomanDevice::Impl
                  obs::arg("flash_bytes", rec.flashBytes)});
         }
         taskMarkSeconds = stats.deviceSeconds;
-        taskMarkBytes = stats.deviceFlashBytes;
-        taskStages = obs::StageSeconds{};
         stats.tasks.push_back(std::move(rec));
     }
 
@@ -187,7 +179,7 @@ struct AquomanDevice::Impl
             throw SuspendError{
                 "device DRAM exceeded allocating "
                     + std::to_string(bytes) + "B for " + slot,
-                true, obs::SuspendReason::DramOverflow};
+                obs::SuspendReason::DramOverflow};
         }
         stats.deviceDramPeak = std::max(stats.deviceDramPeak,
                                         dram.peakBytes());
@@ -198,74 +190,6 @@ struct AquomanDevice::Impl
     {
         if (dram.has(slot))
             dram.free(slot);
-    }
-
-    /** Page-granular flash bytes to read @p selected of @p total rows. */
-    std::int64_t
-    pageTouchBytes(std::int64_t total_rows, int width,
-                   std::int64_t selected) const
-    {
-        if (total_rows <= 0 || selected <= 0)
-            return 0;
-        std::int64_t page = sw.dev().cfg().pageBytes;
-        std::int64_t rpp = std::max<std::int64_t>(1, page / width);
-        double pages = std::ceil(static_cast<double>(total_rows) / rpp);
-        double d = std::min(1.0, static_cast<double>(selected)
-                                     / total_rows);
-        double touched = pages * (1.0 - std::pow(1.0 - d,
-                                                 static_cast<double>(rpp)));
-        auto bytes = static_cast<std::int64_t>(touched * page);
-        return std::max<std::int64_t>(bytes, selected * width);
-    }
-
-    /**
-     * Account a device flash read and its streaming time, attributed
-     * to the pipeline stage that bounds it: the flash channels, the
-     * Row Selector's processing rate, or (when a transform program
-     * consumes the stream) the Row Transformer.
-     *
-     * @p bytes is what actually streams off flash — encoded bytes for
-     * compressed columns. The Row Selector's CPEs evaluate directly
-     * on the encoded stream (all page codecs are order-preserving:
-     * sorted dictionary codes, FOR deltas, RLE runs), so sel_t is
-     * also priced on encoded bytes. @p logical_bytes, when larger,
-     * is the decoded size the stream expands to; decompression runs
-     * at the pipeline's line rate and bounds the stage only when it
-     * exceeds every other resource (PipeStage::Decode). Raw streams
-     * pass logical == bytes and reproduce the pre-compression math
-     * bitwise.
-     */
-    void
-    accountFlash(std::int64_t bytes, std::int64_t rows_processed = 0,
-                 int transform_len = 0,
-                 std::int64_t logical_bytes = -1)
-    {
-        stats.deviceFlashBytes += bytes;
-        double flash_t = static_cast<double>(bytes)
-            / sw.dev().cfg().readBandwidth;
-        double sel_t =
-            static_cast<double>(bytes) / config.processingRate;
-        double tr_t = 0.0;
-        if (rows_processed > 0 && transform_len > 0) {
-            double vectors = std::ceil(static_cast<double>(rows_processed)
-                                       / kRowVectorSize);
-            tr_t = vectors * transform_len / config.clockHz;
-        }
-        double dec_t = 0.0;
-        if (logical_bytes > bytes) {
-            dec_t = static_cast<double>(logical_bytes)
-                / config.processingRate;
-        }
-        double t = std::max(std::max(flash_t, dec_t),
-                            std::max(sel_t, tr_t));
-        obs::PipeStage bound = obs::PipeStage::FlashRead;
-        if (sel_t > flash_t)
-            bound = obs::PipeStage::Selector;
-        if (tr_t > flash_t && tr_t > sel_t)
-            bound = obs::PipeStage::Transformer;
-        if (dec_t > flash_t && dec_t > sel_t && dec_t > tr_t)
-            bound = obs::PipeStage::Decode;
-        accrue(bound, t);
     }
 
     const Table &
@@ -289,99 +213,57 @@ struct AquomanDevice::Impl
     }
 
     /**
-     * Gather the values of one visible column for every tuple.
-     * @param account when true, charge flash traffic for base-table
-     *        gathers (page-touch model over the tuple density)
+     * Gather one visible column at the @p n tuple positions @p pos
+     * (tuples [0, n) when @p pos is null; every tuple when n < 0).
+     * @param account when true, charge the column's flash read through
+     *        chargeGather; callers that evaluate only some tuples charge
+     *        it themselves, so the modelled traffic is independent of
+     *        the evaluation strategy
      */
     RelColumn
     gather(const DeviceRelation &rel, const std::string &name,
-           bool account)
+           bool account, const std::int64_t *pos = nullptr,
+           std::int64_t n = -1)
     {
+        if (n < 0)
+            n = rel.rows;
+        auto at = [pos](std::int64_t i) { return pos ? pos[i] : i; };
         const DevCol &dc = resolve(rel, name);
         if (dc.dataColIdx >= 0) {
-            RelColumn out = rel.dataCols[dc.dataColIdx];
+            // Device DRAM read: no flash traffic.
+            const RelColumn &src = rel.dataCols[dc.dataColIdx];
+            RelColumn out = src;
             out.name = name;
-            return out; // device DRAM read: no flash traffic
+            if (pos || n != src.size()) {
+                out.vals = std::make_shared<std::vector<std::int64_t>>(n);
+                for (std::int64_t i = 0; i < n; ++i)
+                    (*out.vals)[i] = src.get(at(i));
+            }
+            return out;
         }
-        const LeafRef &ref = rel.leafRefs[dc.leafIdx];
-        const Table &t = baseTable(ref.table);
+        const Table &t = baseTable(rel.leafRefs[dc.leafIdx].table);
         const Column &src = t.col(dc.baseColumn);
         RelColumn out(name, src.type());
         if (src.type() == ColumnType::Varchar)
             out.heap = t.stringsPtr();
         const auto &ids = *rel.rowids[dc.leafIdx];
-        out.vals->resize(ids.size());
-        for (std::size_t i = 0; i < ids.size(); ++i)
-            (*out.vals)[i] = src.get(ids[i]);
+        out.vals->resize(n);
+        for (std::int64_t i = 0; i < n; ++i)
+            (*out.vals)[i] = src.get(ids[at(i)]);
         if (account)
             chargeGather(rel, name);
         return out;
     }
 
-    /** Page-block metadata of a base column when stored encoded
-     *  (nullptr on raw layouts / AQUOMAN_COMPRESS=0). */
-    const ColumnLayoutMeta *
-    encodingFor(const LeafRef &ref, const std::string &column) const
-    {
-        if (!compressionEnabled())
-            return nullptr;
-        const CatalogEntry &entry = catalog.get(ref.table);
-        if (!entry.resident)
-            return nullptr;
-        return entry.resident->encodingMeta(
-            entry.table->indexOf(column));
-    }
-
     /**
-     * Encoded analogue of pageTouchBytes: flash bytes to read
-     * @p selected of the @p rows rows held by @p pages encoded page
-     * blocks (@p encoded_bytes total). Same probabilistic page-touch
-     * shape, floored at the selection's share of the encoded payload.
-     */
-    std::int64_t
-    encodedTouchBytes(std::int64_t pages, std::int64_t rows,
-                      std::int64_t encoded_bytes,
-                      std::int64_t selected) const
-    {
-        if (rows <= 0 || selected <= 0 || pages <= 0)
-            return 0;
-        std::int64_t page = sw.dev().cfg().pageBytes;
-        double d = std::min(1.0, static_cast<double>(selected) / rows);
-        double rpp = static_cast<double>(rows) / pages;
-        double touched = pages * (1.0 - std::pow(1.0 - d, rpp));
-        auto bytes = static_cast<std::int64_t>(touched * page);
-        auto floor_bytes = static_cast<std::int64_t>(
-            static_cast<double>(encoded_bytes) * d);
-        return std::max(bytes, floor_bytes);
-    }
-
-    /** Heap bytes chargeable for a varchar gather at the relation's
-     *  tuple density (0 for non-varchar columns). */
-    std::int64_t
-    gatherHeapBytes(const DeviceRelation &rel, const LeafRef &ref,
-                    const DevCol &dc, const Column &src) const
-    {
-        if (src.type() != ColumnType::Varchar)
-            return 0;
-        // String payloads stream from the column's own heap.
-        const CatalogEntry &entry = catalog.get(ref.table);
-        const Table &t = *entry.table;
-        double density = t.numRows() > 0
-            ? std::min(1.0, static_cast<double>(rel.rows)
-                                / t.numRows())
-            : 0.0;
-        return static_cast<std::int64_t>(
-            columnHeapBytes(entry, dc.baseColumn) * density);
-    }
-
-    /**
-     * Charge the flash traffic gather(rel, name, true) would account,
-     * without materializing values. The batched filter path streams
-     * the same page-touch bytes the full-column gather models (the
-     * Row Selector still reads every page the selection touches) even
-     * though the simulator only evaluates the surviving rows. Encoded
-     * columns stream their compressed pages and expand to the raw
-     * page-touch bytes in the decoder.
+     * Charge the flash read gather(rel, name, true) accounts, without
+     * materializing values: one Flash work item at the relation's
+     * tuple density. The batched filter path streams the same
+     * page-touch bytes the full-column gather models (the Row Selector
+     * still reads every page the selection touches) even though the
+     * simulator only evaluates the surviving rows. Encoded columns
+     * (compression on and the table flash-resident) stream their
+     * compressed pages.
      */
     void
     chargeGather(const DeviceRelation &rel, const std::string &name)
@@ -389,104 +271,40 @@ struct AquomanDevice::Impl
         const DevCol &dc = resolve(rel, name);
         if (dc.dataColIdx >= 0)
             return; // device DRAM read: no flash traffic
-        const LeafRef &ref = rel.leafRefs[dc.leafIdx];
-        const Table &t = baseTable(ref.table);
-        const Column &src = t.col(dc.baseColumn);
-        int width = columnTypeWidth(src.type());
-        std::int64_t heap_bytes = gatherHeapBytes(rel, ref, dc, src);
-        if (const ColumnLayoutMeta *enc =
-                encodingFor(ref, dc.baseColumn)) {
-            std::int64_t bytes = encodedTouchBytes(
-                enc->numPages(), enc->rows, enc->encodedBytes,
-                rel.rows);
-            std::int64_t logical =
-                pageTouchBytes(t.numRows(), width, rel.rows);
-            accountFlash(bytes + heap_bytes, 0, 0,
-                         logical + heap_bytes);
-            return;
+        const CatalogEntry &entry =
+            catalog.get(rel.leafRefs[dc.leafIdx].table);
+        const Column &src = entry.table->col(dc.baseColumn);
+        // String payloads stream from the column's own heap.
+        std::int64_t heap = src.type() == ColumnType::Varchar
+            ? columnHeapBytes(entry, dc.baseColumn) : 0;
+        WorkItem w{.width = columnTypeWidth(src.type()),
+                   .rows = rel.rows,
+                   .tableRows = entry.table->numRows(),
+                   .heapBytes = heap};
+        if (compressionEnabled() && entry.resident) {
+            if (const ColumnLayoutMeta *enc = entry.resident->encodingMeta(
+                    entry.table->indexOf(dc.baseColumn))) {
+                w.pages = static_cast<std::int32_t>(enc->numPages());
+                w.encodedBytes = enc->encodedBytes;
+            }
         }
-        std::int64_t bytes =
-            pageTouchBytes(t.numRows(), width, rel.rows) + heap_bytes;
-        accountFlash(bytes);
+        accrue(w);
     }
 
     /**
-     * Gather one visible column at the selected tuple positions only
-     * (no flash accounting; callers charge via chargeGather so the
-     * modelled traffic is independent of the evaluation strategy).
-     */
-    RelColumn
-    gatherAt(const DeviceRelation &rel, const std::string &name,
-             const SelectionVector &sel)
-    {
-        const DevCol &dc = resolve(rel, name);
-        std::int64_t n = sel.size();
-        if (dc.dataColIdx >= 0) {
-            const RelColumn &src = rel.dataCols[dc.dataColIdx];
-            RelColumn out(name, src.type);
-            out.heap = src.heap;
-            out.vals->resize(n);
-            for (std::int64_t i = 0; i < n; ++i)
-                (*out.vals)[i] = src.get(sel[i]);
-            return out;
-        }
-        const LeafRef &ref = rel.leafRefs[dc.leafIdx];
-        const Table &t = baseTable(ref.table);
-        const Column &src = t.col(dc.baseColumn);
-        RelColumn out(name, src.type());
-        if (src.type() == ColumnType::Varchar)
-            out.heap = t.stringsPtr();
-        const auto &ids = *rel.rowids[dc.leafIdx];
-        out.vals->resize(n);
-        for (std::int64_t i = 0; i < n; ++i)
-            (*out.vals)[i] = src.get(ids[sel[i]]);
-        return out;
-    }
-
-    /** gatherAt over an explicit (possibly repeated) position list. */
-    RelColumn
-    gatherAtIdx(const DeviceRelation &rel, const std::string &name,
-                const std::vector<std::int64_t> &pos)
-    {
-        const DevCol &dc = resolve(rel, name);
-        std::int64_t n = static_cast<std::int64_t>(pos.size());
-        if (dc.dataColIdx >= 0) {
-            const RelColumn &src = rel.dataCols[dc.dataColIdx];
-            RelColumn out(name, src.type);
-            out.heap = src.heap;
-            out.vals->resize(n);
-            for (std::int64_t i = 0; i < n; ++i)
-                (*out.vals)[i] = src.get(pos[i]);
-            return out;
-        }
-        const LeafRef &ref = rel.leafRefs[dc.leafIdx];
-        const Table &t = baseTable(ref.table);
-        const Column &src = t.col(dc.baseColumn);
-        RelColumn out(name, src.type());
-        if (src.type() == ColumnType::Varchar)
-            out.heap = t.stringsPtr();
-        const auto &ids = *rel.rowids[dc.leafIdx];
-        out.vals->resize(n);
-        for (std::int64_t i = 0; i < n; ++i)
-            (*out.vals)[i] = src.get(ids[pos[i]]);
-        return out;
-    }
-
-    /**
-     * Run a compiled Row Transformation Program over @p rows rows into
-     * @p outs. Batched, the kernel is compiled once per Table Task and
+     * Run a compiled Row Transformation Program over @p rows rows; one
+     * output column per program output. Batched, the kernel is compiled once per Table Task and
      * executed column-at-a-time over contiguous kPeBatchRows morsels of
      * flat buffers; with AQUOMAN_BATCH=0 every row goes through
      * @p array one at a time. Both are bit-identical (the kernel falls
      * back to the per-row loop for programs with cross-row state).
      */
-    void
+    std::vector<std::vector<std::int64_t>>
     runTransform(const CompiledTransform &ct, SystolicArray &array,
-                 const std::vector<RelColumn> &inputs, std::int64_t rows,
-                 std::vector<std::vector<std::int64_t> *> outs)
+                 const std::vector<RelColumn> &inputs, std::int64_t rows)
     {
-        for (auto *o : outs)
-            o->resize(rows);
+        std::vector<std::vector<std::int64_t>> outs(
+            ct.outputTypes.size(), std::vector<std::int64_t>(rows));
         if (!batchExecutionEnabled()) {
             std::vector<std::int64_t> row_in, row_out;
             for (std::int64_t r = 0; r < rows; ++r) {
@@ -495,9 +313,9 @@ struct AquomanDevice::Impl
                     row_in.push_back(ic.get(r));
                 array.runRow(row_in, row_out);
                 for (std::size_t o = 0; o < outs.size(); ++o)
-                    (*outs[o])[r] = row_out[o];
+                    outs[o][r] = row_out[o];
             }
-            return;
+            return outs;
         }
         PeBatchKernel kernel(ct.programs,
                              static_cast<int>(inputs.size()));
@@ -509,19 +327,20 @@ struct AquomanDevice::Impl
             for (std::size_t i = 0; i < inputs.size(); ++i)
                 in_ptrs[i] = inputs[i].vals->data() + b;
             for (std::size_t o = 0; o < outs.size(); ++o)
-                out_ptrs[o] = outs[o]->data() + b;
+                out_ptrs[o] = outs[o].data() + b;
             kernel.run(in_ptrs.data(), e - b, out_ptrs.data(),
                        static_cast<int>(outs.size()));
         }
+        return outs;
     }
 
-    /** Materialise the visible columns as a host RelTable. */
+    /** Materialise the visible columns as a host RelTable (DMA'd). */
     RelTable
-    materialize(DeviceRelation &rel, bool account_flash)
+    materialize(DeviceRelation &rel)
     {
         RelTable out;
         for (const auto &c : rel.schema)
-            out.addColumn(gather(rel, c.name, account_flash));
+            out.addColumn(gather(rel, c.name, true));
         if (rel.schema.empty()) {
             // Keep row count observable even with no visible columns.
             RelColumn dummy("__row", ColumnType::Int64);
@@ -529,17 +348,19 @@ struct AquomanDevice::Impl
                 dummy.push(i);
             out.addColumn(std::move(dummy));
         }
+        stats.dmaBytes += out.residentBytes();
         return out;
     }
 
-    /** RelTable view of the visible columns (for evalPredicate). */
-    RelTable
-    viewFor(DeviceRelation &rel, const std::vector<std::string> &cols,
-            bool account)
+    /** The entries of @p v at positions @p idx (RowIDs or values). */
+    static std::shared_ptr<std::vector<std::int64_t>>
+    pick(const std::vector<std::int64_t> &v,
+         const std::vector<std::int64_t> &idx)
     {
-        RelTable out;
-        for (const auto &c : cols)
-            out.addColumn(gather(rel, c, account));
+        auto out = std::make_shared<std::vector<std::int64_t>>();
+        out->reserve(idx.size());
+        for (std::int64_t k : idx)
+            out->push_back(v[k]);
         return out;
     }
 
@@ -547,20 +368,10 @@ struct AquomanDevice::Impl
     void
     compact(DeviceRelation &rel, const std::vector<std::int64_t> &keep)
     {
-        for (auto &ids : rel.rowids) {
-            auto next = std::make_shared<std::vector<RowId>>();
-            next->reserve(keep.size());
-            for (std::int64_t k : keep)
-                next->push_back((*ids)[k]);
-            ids = std::move(next);
-        }
-        for (auto &dc : rel.dataCols) {
-            auto next = std::make_shared<std::vector<std::int64_t>>();
-            next->reserve(keep.size());
-            for (std::int64_t k : keep)
-                next->push_back((*dc.vals)[k]);
-            dc.vals = std::move(next);
-        }
+        for (auto &ids : rel.rowids)
+            ids = pick(*ids, keep);
+        for (auto &dc : rel.dataCols)
+            dc.vals = pick(*dc.vals, keep);
         rel.rows = static_cast<std::int64_t>(keep.size());
     }
 
@@ -582,22 +393,13 @@ struct AquomanDevice::Impl
     selectorEligible(const ExprPtr &e)
     {
         // Single-column comparison/equality against constants
-        // (Sec. VI-A); anything else goes to the Row Transformer.
+        // (Sec. VI-A); anything else, ORs included, goes to the Row
+        // Transformer. BETWEEN arrives as two conjuncts.
         std::vector<std::string> cols;
         collectColumns(e, cols);
-        if (cols.size() != 1)
-            return false;
-        switch (e->kind) {
-          case ExprKind::Compare:
-          case ExprKind::InList:
-            return true;
-          case ExprKind::Logic:
-            // BETWEEN desugars to (a >= lo) and (a <= hi); handled as
-            // two conjuncts upstream, so a nested Logic here means OR.
-            return false;
-          default:
-            return false;
-        }
+        return cols.size() == 1
+            && (e->kind == ExprKind::Compare
+                || e->kind == ExprKind::InList);
     }
 
     DeviceRelation
@@ -634,7 +436,6 @@ struct AquomanDevice::Impl
         if (it == deviceRels.end()) {
             throw SuspendError{"stage '" + leaf.stageRef
                                    + "' is not device-resident",
-                               false,
                                obs::SuspendReason::MidPlanGroupBy};
         }
         DeviceRelation rel = it->second; // tuple-table copy (cheap ptrs)
@@ -654,7 +455,6 @@ struct AquomanDevice::Impl
         int selector_preds = 0;
         int regex_preds = 0;
         for (const auto &c : conjuncts) {
-            std::vector<const Expr *> likes;
             if (c->kind == ExprKind::Like
                     || (c->kind == ExprKind::Not
                         && c->children[0]->kind == ExprKind::Like)) {
@@ -679,7 +479,9 @@ struct AquomanDevice::Impl
         if (!batchExecutionEnabled()) {
             // Scalar oracle: materialize every predicate column over
             // every tuple, evaluate the whole tree at once.
-            RelTable view = viewFor(rel, cols, false);
+            RelTable view;
+            for (const auto &c : cols)
+                view.addColumn(gather(rel, c, false));
             BitVector mask = evalPredicate(pred, view);
             keep.reserve(mask.popcount());
             for (std::int64_t i = 0; i < rel.rows; ++i)
@@ -696,7 +498,8 @@ struct AquomanDevice::Impl
                 collectColumns(c, ccols);
                 RelTable view;
                 for (const auto &name : ccols)
-                    view.addColumn(gatherAt(rel, name, sel));
+                    view.addColumn(
+                        gather(rel, name, false, sel.data(), sel.size()));
                 if (view.numColumns() == 0) {
                     // Constant conjunct: one verdict for all rows.
                     RelTable one;
@@ -725,12 +528,8 @@ struct AquomanDevice::Impl
         }
         std::int64_t before = rel.rows;
         compact(rel, keep);
-        stats.taskLog.push_back(
-            what + ": rowSel " + std::to_string(selector_preds)
-            + " CPE predicate(s), " + std::to_string(regex_preds)
-            + " regex, transformer rest; " + std::to_string(before)
-            + " -> " + std::to_string(rel.rows) + " rows");
-        ++stats.tasksExecuted;
+        openTask.selectorPreds += selector_preds;
+        openTask.regexPreds += regex_preds;
         recordTask("rowScan " + what, &rel, before, rel.rows);
     }
 
@@ -776,11 +575,7 @@ struct AquomanDevice::Impl
                 offc->resultType = ColumnType::Varchar;
                 offc->constVal = off;
                 auto copy = std::make_shared<Expr>(*e);
-                copy->children = {column_side, offc};
-                if (column_side == b) {
-                    // Keep the column on the left.
-                    copy->cmpOp = e->cmpOp;
-                }
+                copy->children = {column_side, offc}; // column on the left
                 return copy;
             };
             if (a->kind == ExprKind::ConstStr
@@ -814,7 +609,7 @@ struct AquomanDevice::Impl
             // already rejected big-heap patterns).
             const ExprPtr &a = e->children[0];
             if (a->kind != ExprKind::ColRef)
-                throw SuspendError{"LIKE over a computed value", false,
+                throw SuspendError{"LIKE over a computed value",
                                    obs::SuspendReason::StringHeapRegex};
             RelColumn src = gather(rel, a->column, true);
             std::string name = "__regex#" + std::to_string(slotCounter++);
@@ -828,8 +623,7 @@ struct AquomanDevice::Impl
             dc.dataColIdx = static_cast<int>(rel.dataCols.size());
             rel.dataCols.push_back(std::move(bits));
             rel.schema.push_back(dc);
-            stats.taskLog.push_back("regexAccel: '" + e->pattern
-                                    + "' over " + a->column);
+            ++openTask.regexPreds;
             return col(name);
         }
         auto copy = std::make_shared<Expr>(*e);
@@ -886,34 +680,23 @@ struct AquomanDevice::Impl
             for (const auto &icol : ct.inputColumns)
                 inputs.push_back(gather(rel, icol, true));
             SystolicArray array = ct.buildArray();
-            std::vector<RelColumn> outs;
-            for (std::size_t o = 0; o < computed.size(); ++o)
-                outs.emplace_back(computed[o].name, ct.outputTypes[o]);
-            std::vector<std::vector<std::int64_t> *> out_vecs;
-            for (auto &o : outs)
-                out_vecs.push_back(o.vals.get());
-            runTransform(ct, array, inputs, rel.rows, std::move(out_vecs));
+            auto outs = runTransform(ct, array, inputs, rel.rows);
             stats.transformedRows += rel.rows;
-            double vectors = std::ceil(static_cast<double>(rel.rows)
-                                       / kRowVectorSize);
-            accrue(obs::PipeStage::Transformer,
-                   vectors * array.maxProgramLength() / config.clockHz);
+            accrue({.kind = WorkKind::Transform,
+                    .programLen = array.maxProgramLength(),
+                    .rows = rel.rows});
             // Computed columns follow the pass-through data columns.
             int next_data = static_cast<int>(new_data.size());
-            for (auto &out_col : outs)
-                new_data.push_back(std::move(out_col));
+            for (std::size_t o = 0; o < computed.size(); ++o) {
+                new_data.emplace_back(computed[o].name, ct.outputTypes[o]);
+                *new_data.back().vals = std::move(outs[o]);
+            }
             for (auto &dc : new_schema) {
                 if (dc.dataColIdx == -2) {
                     dc.dataColIdx = next_data++;
                     dc.type = new_data[dc.dataColIdx].type;
                 }
             }
-            stats.taskLog.push_back(
-                "rowTransf: " + std::to_string(computed.size())
-                + " output column(s), "
-                + std::to_string(ct.programs.size()) + " PE(s), "
-                + std::to_string(ct.totalInstructions) + " instr");
-            ++stats.tasksExecuted;
             recordTask("rowTransf", &rel, rel.rows, rel.rows);
         }
         // Transform outputs stream directly into the next pipeline
@@ -938,12 +721,6 @@ struct AquomanDevice::Impl
 
     // ---------------------------------------------------------- join
 
-    /**
-     * Device DRAM bytes a persistent relation occupies. Sorted RowID
-     * columns can be stored as row masks over the base table (the
-     * paper's maskSrc representation), so they cost
-     * min(rows x 8B, tableRows / 8).
-     */
     /**
      * Bytes per RowID: MonetDB oids (and the paper's sorter value
      * lanes, Table IV) are 64-bit. Tiny dimension tables (nation,
@@ -1032,39 +809,24 @@ struct AquomanDevice::Impl
 
     /** <key, tupleIdx> stream for @p key over @p rel. */
     KvStream
-    keyStream(DeviceRelation &rel, const std::string &key, bool account)
+    keyStream(DeviceRelation &rel, const std::string &key)
     {
-        RelColumn c = gather(rel, key, account);
+        RelColumn c = gather(rel, key, true);
         KvStream s(rel.rows);
         for (std::int64_t i = 0; i < rel.rows; ++i)
             s[i] = {c.get(i), i};
         return s;
     }
 
-    /**
-     * Sort a key stream with the streaming sorter unless it is already
-     * ordered (MonetDB keeps base tables in RowID order, so fact-table
-     * foreign keys like l_orderkey arrive sorted).
-     */
+    /** Sort an unordered key stream with the streaming sorter. */
     void
     sortStream(KvStream &s, const std::string &what)
     {
-        bool already = std::is_sorted(
-            s.begin(), s.end(),
-            [](const Kv &a, const Kv &b) { return a.key < b.key; });
-        if (already) {
-            stats.taskLog.push_back(what + ": already sorted, "
-                                    "sorter bypassed");
-            return;
-        }
         std::string slot = freshSlot("sort");
         charge(slot, static_cast<std::int64_t>(s.size()) * kKvBytes);
         SorterStats st = sorter.sort(s, true);
-        accrue(obs::PipeStage::Swissknife, st.seconds);
-        stats.taskLog.push_back(
-            what + ": SORT " + std::to_string(st.recordsIn)
-            + " records, " + std::to_string(st.numBlocks) + " block(s)");
-        ++stats.tasksExecuted;
+        accrue({.kind = WorkKind::Sort, .folded = st.folded,
+                .rows = st.recordsIn, .alternation = st.alternationRate});
         recordTask("sort " + what, nullptr,
                    static_cast<std::int64_t>(s.size()),
                    static_cast<std::int64_t>(s.size()));
@@ -1106,21 +868,10 @@ struct AquomanDevice::Impl
             }
             DeviceRelation &side = from_left ? l : r;
             const std::vector<std::int64_t> &idx = from_left ? li : ri;
-            RelColumn cc;
-            if (batchExecutionEnabled()) {
-                // Same modelled charge as the full gather; values are
-                // fetched at the candidate pairs only.
-                chargeGather(side, cname);
-                cc = gatherAtIdx(side, cname, idx);
-            } else {
-                RelColumn full = gather(side, cname, true);
-                cc = RelColumn(cname, full.type);
-                cc.heap = full.heap;
-                cc.vals->reserve(idx.size());
-                for (std::int64_t i : idx)
-                    cc.vals->push_back(full.get(i));
-            }
-            view.addColumn(std::move(cc));
+            // The full column's flash charge; values are fetched at the
+            // candidate pairs only.
+            view.addColumn(gather(side, cname, true, idx.data(),
+                                  static_cast<std::int64_t>(idx.size())));
         }
         BitVector mask = evalPredicate(pred, view);
         for (std::size_t i = 0; i < pass.size(); ++i)
@@ -1138,27 +889,15 @@ struct AquomanDevice::Impl
         out.leafRefs = l.leafRefs;
         out.leafRefs.insert(out.leafRefs.end(), r.leafRefs.begin(),
                             r.leafRefs.end());
-        auto gather_ids = [&](const DeviceRelation &side,
-                              const std::vector<std::int64_t> &idx) {
-            for (const auto &ids : side.rowids) {
-                auto next = std::make_shared<std::vector<RowId>>();
-                next->reserve(idx.size());
-                for (std::int64_t k : idx)
-                    next->push_back((*ids)[k]);
-                out.rowids.push_back(std::move(next));
-            }
-        };
-        gather_ids(l, li);
-        gather_ids(r, ri);
+        for (const auto &ids : l.rowids)
+            out.rowids.push_back(pick(*ids, li));
+        for (const auto &ids : r.rowids)
+            out.rowids.push_back(pick(*ids, ri));
         auto gather_data = [&](const DeviceRelation &side,
                                const std::vector<std::int64_t> &idx) {
             for (const auto &dc : side.dataCols) {
-                RelColumn next(dc.name, dc.type);
-                next.heap = dc.heap;
-                next.vals->reserve(idx.size());
-                for (std::int64_t k : idx)
-                    next.vals->push_back(dc.get(k));
-                out.dataCols.push_back(std::move(next));
+                out.dataCols.push_back(dc);
+                out.dataCols.back().vals = pick(*dc.vals, idx);
             }
         };
         gather_data(l, li);
@@ -1186,22 +925,14 @@ struct AquomanDevice::Impl
         if (node.joinType == JoinType::LeftOuter)
             throw SuspendError{"outer join has no device path"};
 
-        KvStream ls = keyStream(l, node.leftKeys[0], true);
-        KvStream rs = keyStream(r, node.rightKeys[0], true);
-
-        bool l_sorted = std::is_sorted(
-            ls.begin(), ls.end(),
-            [](const Kv &a, const Kv &b) { return a.key < b.key; });
-        bool r_sorted = std::is_sorted(
-            rs.begin(), rs.end(),
-            [](const Kv &a, const Kv &b) { return a.key < b.key; });
+        KvStream ls = keyStream(l, node.leftKeys[0]);
+        KvStream rs = keyStream(r, node.rightKeys[0]);
 
         bool probe_right = isDensePk(r, node.rightKeys[0]);
         bool probe_left = node.joinType == JoinType::Inner
             && isDensePk(l, node.leftKeys[0]);
 
         std::vector<std::int64_t> li, ri;
-        std::string path;
         if (probe_right || (probe_left && !probe_right)) {
             // RowID probe (MonetDB materialised-RowID optimisation):
             // the PK side becomes a direct-index structure over its
@@ -1246,23 +977,18 @@ struct AquomanDevice::Impl
                 }
             }
             release(slot);
-            path = "MERGE via RowID probe";
         } else {
-            // Sort-merge path through the streaming sorter.
-            if (!l_sorted)
+            // Sort-merge path: streams already in key order skip the
+            // streaming sorter (MonetDB keeps base tables in RowID
+            // order, so fact-table foreign keys like l_orderkey arrive
+            // sorted).
+            auto by_key = [](const Kv &a, const Kv &b) {
+                return a.key < b.key;
+            };
+            if (!std::is_sorted(ls.begin(), ls.end(), by_key))
                 sortStream(ls, "left " + node.leftKeys[0]);
-            else
-                std::stable_sort(ls.begin(), ls.end(),
-                                 [](const Kv &a, const Kv &b) {
-                                     return a.key < b.key;
-                                 });
-            if (!r_sorted)
+            if (!std::is_sorted(rs.begin(), rs.end(), by_key))
                 sortStream(rs, "right " + node.rightKeys[0]);
-            else
-                std::stable_sort(rs.begin(), rs.end(),
-                                 [](const Kv &a, const Kv &b) {
-                                     return a.key < b.key;
-                                 });
             // Generalised merge-intersect with bounded duplicate
             // products per key.
             std::size_t i = 0, j = 0;
@@ -1291,11 +1017,9 @@ struct AquomanDevice::Impl
                     j = j2;
                 }
             }
-            double merge_bytes =
-                static_cast<double>(ls.size() + rs.size()) * kKvBytes;
-            accrue(obs::PipeStage::Swissknife,
-                   merge_bytes / StreamingSorter::kDatapathBytesPerSec);
-            path = "SORT_MERGE";
+            accrue({.kind = WorkKind::Merge,
+                    .rows = static_cast<std::int64_t>(ls.size()
+                                                      + rs.size())});
         }
 
         std::vector<char> pass = residualMask(l, r, node, li, ri);
@@ -1333,10 +1057,6 @@ struct AquomanDevice::Impl
             release(l.dramSlot);
         if (!r.dramSlot.empty())
             release(r.dramSlot);
-        stats.taskLog.push_back(
-            "join " + node.leftKeys[0] + "=" + node.rightKeys[0] + " ["
-            + path + "] -> " + std::to_string(out.rows) + " tuples");
-        ++stats.tasksExecuted;
         recordTask("join " + node.leftKeys[0] + "=" + node.rightKeys[0],
                    nullptr, l.rows + r.rows, out.rows);
         return out;
@@ -1445,14 +1165,8 @@ struct AquomanDevice::Impl
         // accelerator then takes the group and value columns directly,
         // in row order, so spill behaviour matches a per-row feed.
         std::vector<std::vector<std::int64_t>> tcols;
-        if (array) {
-            tcols.resize(ct->outputNames.size());
-            std::vector<std::vector<std::int64_t> *> out_vecs;
-            for (auto &c : tcols)
-                out_vecs.push_back(&c);
-            runTransform(*ct, *array, inputs, rel.rows,
-                         std::move(out_vecs));
-        }
+        if (array)
+            tcols = runTransform(*ct, *array, inputs, rel.rows);
         std::vector<const std::int64_t *> id_cols;
         for (const auto &gc : group_cols)
             id_cols.push_back(gc.vals->data());
@@ -1463,20 +1177,12 @@ struct AquomanDevice::Impl
         }
         gb.update(id_cols, val_cols, rel.rows);
         stats.transformedRows += rel.rows;
-        double vectors = std::ceil(static_cast<double>(rel.rows)
-                                   / kRowVectorSize);
-        double transform_t = array
-            ? vectors * array->maxProgramLength() / config.clockHz
-            : vectors / config.clockHz;
-        // Spill-over accumulation runs on the host concurrently; the
-        // device is not slowed as long as the host keeps up (~200M
-        // lookup-accumulates/s, Sec. VI-E).
-        double spill_t = gb.stats().rowsSpilled / 200e6;
-        // Attribution: the group-by accelerator (a Swissknife unit)
-        // only bounds the task when the spill drain outruns the feed.
-        accrue(transform_t >= spill_t ? obs::PipeStage::Transformer
-                                      : obs::PipeStage::Swissknife,
-               std::max(transform_t, spill_t));
+        // Without aggregate inputs, each row vector still takes one
+        // cycle to feed the accelerator.
+        accrue({.kind = WorkKind::GroupBy,
+                .programLen = array ? array->maxProgramLength() : 1,
+                .rows = rel.rows,
+                .spillRows = gb.stats().rowsSpilled});
         stats.spillRows += gb.stats().rowsSpilled;
         stats.spillGroups += gb.stats().groupsSpilled;
         stats.hostResidual.rowOps += gb.stats().rowsSpilled;
@@ -1532,13 +1238,6 @@ struct AquomanDevice::Impl
             }
             out.addColumn(std::move(c));
         }
-        stats.taskLog.push_back(
-            "AGGREGATE" + std::string(spec.groupColumns.empty()
-                                      ? "" : "_GROUPBY")
-            + ": " + std::to_string(ngroups) + " group(s), "
-            + std::to_string(gb.stats().groupsSpilled)
-            + " spill-over group(s)");
-        ++stats.tasksExecuted;
         recordTask("aggregate", &rel, rel.rows, out.numRows());
         return out;
     }
@@ -1552,14 +1251,8 @@ struct AquomanDevice::Impl
         const ShapeNode &node = shape.nodes[node_idx];
         if (node.isLeaf) {
             const LeafInfo &leaf = shape.leaves[node.leaf];
-            DeviceRelation rel;
-            if (!leaf.table.empty()) {
-                rel = makeBaseLeaf(leaf);
-                // Leaf scan: stream the predicate columns from flash.
-                // (Filters account their own column reads at density 1.)
-            } else {
-                rel = makeStageLeaf(leaf);
-            }
+            DeviceRelation rel = leaf.table.empty() ? makeStageLeaf(leaf)
+                                                    : makeBaseLeaf(leaf);
             applyOps(rel, leaf.ops, true,
                      leaf.table.empty() ? leaf.stageRef : leaf.table);
             return rel;
@@ -1672,25 +1365,15 @@ struct AquomanDevice::Impl
                 keep.push_back(kv.value);
             std::int64_t before = root.rows;
             compact(root, keep);
-            stats.taskLog.push_back(
-                "TOPK: kept " + std::to_string(root.rows) + " of "
-                + std::to_string(before) + " rows ("
-                + std::to_string(topk.chainLength())
-                + " VCAS block(s))");
-            ++stats.tasksExecuted;
             recordTask("topk", &root, before, root.rows);
-            RelTable t = materialize(root, true);
-            stats.dmaBytes += t.residentBytes();
-            stageTables[stage.id] = std::move(t);
+            stageTables[stage.id] = materialize(root);
             return;
         }
         if (!shape.sortKeys.empty() || !shape.postOps.empty()) {
             // Sorted / post-processed outputs ship to the host.
-            RelTable t = materialize(root, true);
-            stats.dmaBytes += t.residentBytes();
-            RelTable final = hostFinish(std::move(t), shape.postOps,
-                                        shape.sortKeys, shape.limit);
-            stageTables[stage.id] = std::move(final);
+            stageTables[stage.id] = hostFinish(
+                materialize(root), shape.postOps, shape.sortKeys,
+                shape.limit);
             return;
         }
         // Plain tuple output stays device-resident; it is the only
@@ -1715,11 +1398,8 @@ struct AquomanDevice::Impl
             if (p->kind == PlanKind::Scan && !p->scanStage.empty()
                     && !stageTables.count(p->scanStage)) {
                 auto it = deviceRels.find(p->scanStage);
-                if (it != deviceRels.end()) {
-                    RelTable t = materialize(it->second, true);
-                    stats.dmaBytes += t.residentBytes();
-                    stageTables[p->scanStage] = std::move(t);
-                }
+                if (it != deviceRels.end())
+                    stageTables[p->scanStage] = materialize(it->second);
             }
             for (const auto &c : p->children)
                 work.push_back(c);
@@ -1775,7 +1455,6 @@ AquomanDevice::runQuery(const Query &q)
             }
         }
         if (try_device) {
-            std::int64_t dram_before = impl.dram.usedBytes();
             double stage_t0 = impl.stats.deviceSeconds;
             try {
                 impl.runDeviceStage(stage, d.shape);
@@ -1787,12 +1466,10 @@ AquomanDevice::runQuery(const Query &q)
                 }
                 continue;
             } catch (const SuspendError &e) {
-                impl.stats.taskLog.push_back(
-                    "SUSPEND stage '" + stage.id + "': " + e.reason);
                 impl.stats.suspensions.push_back(
                     {stage.id, e.code, e.reason});
                 ++impl.stats.hostResidual.suspendCount;
-                if (e.dram)
+                if (e.code == obs::SuspendReason::DramOverflow)
                     degraded = true;
                 if (impl.stageTrack >= 0) {
                     tracer.instant(
@@ -1801,7 +1478,6 @@ AquomanDevice::runQuery(const Query &q)
                         {obs::arg("reason", e.reason)});
                 }
                 // Roll back partial allocations of this stage.
-                (void)dram_before;
                 impl.dram.reset();
                 impl.deviceRels.erase(stage.id);
                 impl.runHostStage(stage);
@@ -1830,16 +1506,16 @@ AquomanDevice::runQuery(const Query &q)
         auto it = impl.deviceRels.find(last);
         AQ_ASSERT(it != impl.deviceRels.end(), "no result for stage ",
                   last);
-        RelTable t = impl.materialize(it->second, true);
-        impl.stats.dmaBytes += t.residentBytes();
-        impl.stageTables[last] = std::move(t);
+        impl.stageTables[last] = impl.materialize(it->second);
     }
     out.result = impl.stageTables[last];
     // Work accrued after the last explicit Table Task (final gathers,
     // result DMA) becomes one closing record so the structured trace
     // partitions the totals exactly.
+    impl.stats.tasksExecuted =
+        static_cast<std::int64_t>(impl.stats.tasks.size());
     if (impl.stats.deviceSeconds > impl.taskMarkSeconds
-            || impl.stats.deviceFlashBytes > impl.taskMarkBytes)
+            || impl.openTask.flashBytes > 0)
         impl.recordTask("epilogue: gathers + result DMA");
     impl.stats.hostResidual.merge(impl.residual.metrics());
     // Everything the host touched to finish the query: DMA'd device
@@ -1847,8 +1523,6 @@ AquomanDevice::runQuery(const Query &q)
     impl.stats.hostResidual.hostFinishBytes =
         impl.stats.dmaBytes + impl.stats.hostResidual.touchedBaseBytes;
     out.stats = std::move(impl.stats);
-    out.stats.deviceDramPeak = std::max(out.stats.deviceDramPeak,
-                                        impl.dram.peakBytes());
     return out;
 }
 

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "aquoman/config.hh"
+#include "aquoman/cost_model.hh"
 #include "aquoman/memory_manager.hh"
 #include "aquoman/task_compiler.hh"
 #include "engine/executor.hh"
@@ -45,7 +46,7 @@ namespace aquoman {
  */
 struct TableTaskRecord
 {
-    /** Short description (mirrors the taskLog entry). */
+    /** Short description: "rowScan <table>", "join <k>=<k>", "topk"... */
     std::string what;
 
     /**
@@ -78,6 +79,17 @@ struct TableTaskRecord
 
     /** Bottleneck resource: argmax of @ref stages (deterministic). */
     obs::PipeStage bottleneck = obs::PipeStage::FlashRead;
+
+    /**
+     * The device work the task did, in accrual order. Pricing it with
+     * DeviceCostModel::price in order reproduces @ref stages and
+     * @ref flashBytes bitwise.
+     */
+    std::vector<WorkItem> work;
+
+    /** Filter conjuncts on Row Selector CPEs / the regex accelerator. */
+    int selectorPreds = 0;
+    int regexPreds = 0;
 };
 
 /** One suspension: which stage left the device, and why. */
@@ -117,7 +129,7 @@ struct AquomanRunStats
     /** Device->host transfers of results and intermediates. */
     std::int64_t dmaBytes = 0;
 
-    /** Table Tasks issued to the device. */
+    /** Table Tasks issued to the device (records before the epilogue). */
     std::int64_t tasksExecuted = 0;
 
     /** Rows processed by Row Transformer PE programs. */
@@ -128,9 +140,6 @@ struct AquomanRunStats
 
     /** True when device DRAM overflow forced a suspension (cond. 4). */
     bool suspendedDram = false;
-
-    /** Human-readable Table Task log (paper Fig. 5 style). */
-    std::vector<std::string> taskLog;
 
     /**
      * Structured Table-Task trace: one record per scheduled task, in

@@ -1,5 +1,7 @@
 #include "aquoman/query_profile.hh"
 
+#include <cstdio>
+#include <iterator>
 #include <map>
 
 namespace aquoman {
@@ -110,6 +112,33 @@ buildQueryProfile(const std::string &query_name,
     hp.children = stats.hostOps.children;
     prof.root.children.push_back(std::move(hp));
     return prof;
+}
+
+std::string
+describeTask(const TableTaskRecord &t)
+{
+    static const char *const kKindNames[] = {"flash", "transform", "sort",
+                                             "merge", "group-by"};
+    std::string out = t.what;
+    if (t.rowsIn >= 0) {
+        out += ": " + std::to_string(t.rowsIn) + " -> "
+            + std::to_string(t.rowsOut) + " rows";
+    }
+    if (t.selectorPreds > 0 || t.regexPreds > 0) {
+        out += ", " + std::to_string(t.selectorPreds) + " CPE + "
+            + std::to_string(t.regexPreds) + " regex predicate(s)";
+    }
+    int counts[std::size(kKindNames)] = {};
+    for (const WorkItem &w : t.work)
+        ++counts[static_cast<int>(w.kind)];
+    for (std::size_t k = 0; k < std::size(kKindNames); ++k) {
+        if (counts[k] > 0)
+            out += "; " + std::to_string(counts[k]) + "x " + kKindNames[k];
+    }
+    char tail[64];
+    std::snprintf(tail, sizeof(tail), "; %.3f ms, %s-bound",
+                  t.seconds * 1e3, obs::pipeStageName(t.bottleneck));
+    return out + tail;
 }
 
 } // namespace aquoman

@@ -52,6 +52,9 @@ obs::QueryProfile buildQueryProfile(const std::string &query_name,
                                     const HostPhaseProfile &host,
                                     const std::string &offload_class = "");
 
+/** One line of the paper's Fig. 5-style Table-Task listing. */
+std::string describeTask(const TableTaskRecord &t);
+
 } // namespace aquoman
 
 #endif // AQUOMAN_AQUOMAN_QUERY_PROFILE_HH

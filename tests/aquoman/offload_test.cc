@@ -207,10 +207,11 @@ TEST_F(OffloadTest, Q6UsesRowSelectorOnly)
 {
     OffloadedQueryResult r = runAquoman(6);
     EXPECT_EQ(r.stats.deviceStages.size(), 1u);
-    // The task log must show CPE predicates in use.
+    // A row-scan task must put its predicates on the CPEs.
     bool saw_selector = false;
-    for (const auto &line : r.stats.taskLog)
-        saw_selector |= line.find("rowSel") != std::string::npos;
+    for (const TableTaskRecord &t : r.stats.tasks)
+        saw_selector |= t.what.rfind("rowScan", 0) == 0
+            && t.selectorPreds > 0;
     EXPECT_TRUE(saw_selector);
 }
 
@@ -254,12 +255,12 @@ TEST_F(OffloadTest, DeviceMemoryScalesWithConfig)
               AquomanConfig::paper40().dramBytes);
 }
 
-TEST_F(OffloadTest, TaskLogMentionsJoinPaths)
+TEST_F(OffloadTest, TaskRecordsIncludeJoins)
 {
     OffloadedQueryResult r = runAquoman(3);
     bool saw_join = false;
-    for (const auto &line : r.stats.taskLog)
-        saw_join |= line.find("join") != std::string::npos;
+    for (const TableTaskRecord &t : r.stats.tasks)
+        saw_join |= t.what.rfind("join ", 0) == 0;
     EXPECT_TRUE(saw_join);
 }
 
