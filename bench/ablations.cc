@@ -60,7 +60,7 @@ countSelectorPredicates(const PlanPtr &p, std::vector<int> &out)
 int
 main()
 {
-    double sf = scaleFactor();
+    double sf = env::scaleFactor();
     Fixture fx(sf);
 
     // ------------------------------------------------------------ 1

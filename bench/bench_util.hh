@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared fixture for the evaluation benches: builds the TPC-H database
- * at the configured scale factor (env AQUOMAN_SF, default 0.02), runs
+ * at the configured scale factor (env::scaleFactor(), AQUOMAN_SF), runs
  * queries through both paths, and extrapolates the machine-independent
  * traces to the paper's SF-1000 operating point so that Fig. 16-style
  * numbers land in the same regime the paper reports.
@@ -13,15 +13,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "aquoman/device.hh"
 #include "aquoman/perf_model.hh"
+#include "common/env_options.hh"
+#include "obs/cli_args.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "tpch/dbgen.hh"
@@ -29,12 +30,18 @@
 
 namespace aquoman::bench {
 
-/** Benchmark scale factor (env AQUOMAN_SF). */
-inline double
-scaleFactor()
+/**
+ * Exit 2 printing "<bench>: <fault>" when the bench's command line
+ * @p a (obs::parseArgs) holds a fault. Call it after reading integer
+ * flags, whose faults are recorded as they are read.
+ */
+inline void
+exitOnArgError(const obs::Args &a, const char *prog)
 {
-    const char *env = std::getenv("AQUOMAN_SF");
-    return env ? std::atof(env) : 0.02;
+    if (a.error.empty())
+        return;
+    std::fprintf(stderr, "%s: %s\n", prog, a.error.c_str());
+    std::exit(2);
 }
 
 /** The TPC-H fixture shared by the figure benches. */
@@ -188,109 +195,38 @@ class WallTimer
     std::chrono::steady_clock::time_point start;
 };
 
-/** Path given with "--json <path>", or empty when the flag is absent. */
-inline std::string
-jsonPathFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--json requires a path\n");
-                std::exit(2);
-            }
-            return argv[i + 1];
-        }
-    }
-    return std::string();
-}
-
-/**
- * One flat record for the --json output: numeric fields (printed with
- * %.17g so modelled seconds round-trip exactly) plus optional raw
- * fields whose values are pre-rendered JSON (histograms, port ledgers).
- */
-struct JsonRecord
-{
-    std::vector<std::pair<std::string, double>> fields;
-    std::vector<std::pair<std::string, std::string>> raws;
-
-    void
-    add(const std::string &name, double value)
-    {
-        fields.emplace_back(name, value);
-    }
-
-    /** Attach @p json (an already-rendered JSON value) as @p name. */
-    void
-    addRaw(const std::string &name, std::string json)
-    {
-        raws.emplace_back(name, std::move(json));
-    }
-};
-
-/** Render @p h as a JSON object string. */
-inline std::string
-histogramJson(const obs::Histogram &h)
-{
-    std::ostringstream os;
-    h.toJson(os);
-    return os.str();
-}
-
-inline void
-writeRecordsArray(std::ostream &os, const std::vector<JsonRecord> &records)
-{
-    os << "[\n";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        os << "    {";
-        bool first = true;
-        for (const auto &[name, value] : records[i].fields) {
-            os << (first ? "" : ", ") << '"' << name
-               << "\": " << obs::jsonNumber(value);
-            first = false;
-        }
-        for (const auto &[name, json] : records[i].raws) {
-            os << (first ? "" : ", ") << '"' << name << "\": " << json;
-            first = false;
-        }
-        os << "}" << (i + 1 < records.size() ? "," : "") << "\n";
-    }
-    os << "  ]";
-}
-
 /**
  * Write the bench's --json report:
  *   {"records": [...], "histograms": {...}, "trace": {...}}
- * The trace section reflects the global SimTracer (enabled flag, the
+ * @p records writes the records, one flat object each: numeric fields
+ * (`aqreport gate` compares the modelled_* ones exactly) followed by
+ * any nested values (profiles, histograms, port ledgers). The trace
+ * section reflects the global SimTracer (enabled flag, the
  * AQUOMAN_TRACE path if any, and the event count). Returns false (with
- * a message) when the file can't be opened.
+ * a message) when the file can't be written.
  */
 inline bool
 writeJsonReport(
-    const std::string &path, const std::vector<JsonRecord> &records,
+    const std::string &path,
+    const std::function<void(obs::JsonWriter &)> &records,
     const std::vector<std::pair<std::string, obs::Histogram>> &histograms
         = {})
 {
-    std::ofstream f(path);
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    f << "{\n  \"records\": ";
-    writeRecordsArray(f, records);
-    f << ",\n  \"histograms\": {";
-    for (std::size_t i = 0; i < histograms.size(); ++i) {
-        f << (i ? ", " : "") << "\n    \"" << histograms[i].first
-          << "\": ";
-        histograms[i].second.toJson(f);
-    }
-    f << (histograms.empty() ? "" : "\n  ") << "},\n";
-    const obs::SimTracer &tracer = obs::SimTracer::global();
-    f << "  \"trace\": {\"enabled\": "
-      << (tracer.enabled() ? "true" : "false") << ", \"path\": \""
-      << obs::jsonEscape(tracer.envPath()) << "\", \"events\": "
-      << tracer.eventCount() << "}\n}\n";
-    return true;
+    return obs::writeJsonFile(path, [&](obs::JsonWriter &w) {
+        w.beginObject().key("records").beginArray();
+        records(w);
+        w.endArray().key("histograms").beginObject();
+        for (const auto &[name, h] : histograms) {
+            w.key(name);
+            h.toJson(w);
+        }
+        const obs::SimTracer &tracer = obs::SimTracer::global();
+        w.endObject().key("trace").beginObject();
+        w.key("enabled").boolean(tracer.enabled());
+        w.key("path").string(tracer.envPath());
+        w.key("events").integer(tracer.eventCount()).endObject();
+        w.endObject();
+    });
 }
 
 /** One numeric column of a bench results table. */

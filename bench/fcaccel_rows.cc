@@ -16,7 +16,7 @@ using namespace aquoman::bench;
 int
 main()
 {
-    double sf = scaleFactor();
+    double sf = env::scaleFactor();
     Fixture fx(sf);
     header("Sec VIII-D: AQUOMAN vs FCAccel throughput (M rows/s)");
 

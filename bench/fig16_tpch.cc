@@ -14,7 +14,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <vector>
 
 #include "aquoman/query_profile.hh"
@@ -42,30 +41,6 @@ struct QueryRow
     obs::QueryProfile profile; ///< L-AQUOMAN cost attribution
 };
 
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == flag)
-            return true;
-    return false;
-}
-
-std::string
-flagValue(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == flag) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a path\n", flag);
-                std::exit(2);
-            }
-            return argv[i + 1];
-        }
-    }
-    return std::string();
-}
-
 /**
  * Per-table, per-column compression report: the codec mix the page
  * encoder chose, logical vs encoded bytes, and the resulting ratio.
@@ -74,65 +49,57 @@ flagValue(int argc, char **argv, const char *flag)
 bool
 writeCompressionReport(const std::string &path, const Catalog &cat)
 {
-    std::ofstream f(path);
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    f << "{\n  \"compression_enabled\": "
-      << (compressionEnabled() ? "true" : "false")
-      << ",\n  \"tables\": [\n";
-    bool first_table = true;
-    std::int64_t total_logical = 0, total_encoded = 0;
-    for (const auto &[name, entry] : cat.all()) {
-        if (!entry.resident)
-            continue;
-        f << (first_table ? "" : ",\n") << "    {\"table\": \"" << name
-          << "\", \"columns\": [\n";
-        first_table = false;
-        const Table &t = *entry.table;
-        for (int c = 0; c < t.numColumns(); ++c) {
-            const Column &col = t.col(c);
-            std::int64_t logical =
-                t.numRows() * columnTypeWidth(col.type());
-            const ColumnLayoutMeta *enc =
-                entry.resident->encodingMeta(c);
-            std::int64_t encoded = enc ? enc->encodedBytes : logical;
-            total_logical += logical;
-            total_encoded += encoded;
-            // Dominant codec over the column's pages (raw layout when
-            // the column is stored unencoded).
-            std::string codec = "raw";
-            if (enc) {
-                std::int64_t counts[4] = {};
-                for (const PageBlockMeta &p : enc->pages)
-                    ++counts[static_cast<int>(p.codec)];
-                int best = 0;
-                for (int k = 1; k < 4; ++k)
-                    if (counts[k] > counts[best])
-                        best = k;
-                codec = columnCodecName(
-                    static_cast<ColumnCodec>(best));
+    return obs::writeJsonFile(path, [&](obs::JsonWriter &w) {
+        w.beginObject();
+        w.key("compression_enabled").boolean(compressionEnabled());
+        w.key("tables").beginArray();
+        std::int64_t total_logical = 0, total_encoded = 0;
+        for (const auto &[name, entry] : cat.all()) {
+            if (!entry.resident)
+                continue;
+            w.beginObject().key("table").string(name);
+            w.key("columns").beginArray();
+            const Table &t = *entry.table;
+            for (int c = 0; c < t.numColumns(); ++c) {
+                const Column &col = t.col(c);
+                std::int64_t logical =
+                    t.numRows() * columnTypeWidth(col.type());
+                const ColumnLayoutMeta *enc =
+                    entry.resident->encodingMeta(c);
+                std::int64_t encoded = enc ? enc->encodedBytes : logical;
+                total_logical += logical;
+                total_encoded += encoded;
+                // Dominant codec over the column's pages (raw layout
+                // when the column is stored unencoded).
+                std::string codec = "raw";
+                if (enc) {
+                    std::int64_t counts[4] = {};
+                    for (const PageBlockMeta &p : enc->pages)
+                        ++counts[static_cast<int>(p.codec)];
+                    int best = 0;
+                    for (int k = 1; k < 4; ++k)
+                        if (counts[k] > counts[best])
+                            best = k;
+                    codec = columnCodecName(
+                        static_cast<ColumnCodec>(best));
+                }
+                double ratio = encoded > 0
+                    ? static_cast<double>(logical) / encoded : 1.0;
+                w.beginObject().key("column").string(col.name());
+                w.key("codec").string(codec);
+                w.key("logical_bytes").integer(logical);
+                w.key("encoded_bytes").integer(encoded);
+                w.key("pages").integer(enc ? enc->numPages() : 0);
+                w.key("ratio").number(ratio).endObject();
             }
-            double ratio = encoded > 0
-                ? static_cast<double>(logical) / encoded : 1.0;
-            f << "      {\"column\": \"" << col.name()
-              << "\", \"codec\": \"" << codec
-              << "\", \"logical_bytes\": " << logical
-              << ", \"encoded_bytes\": " << encoded
-              << ", \"pages\": " << (enc ? enc->numPages() : 0)
-              << ", \"ratio\": " << obs::jsonNumber(ratio) << "}"
-              << (c + 1 < t.numColumns() ? "," : "") << "\n";
+            w.endArray().endObject();
         }
-        f << "    ]}";
-    }
-    double total_ratio = total_encoded > 0
-        ? static_cast<double>(total_logical) / total_encoded : 1.0;
-    f << "\n  ],\n  \"total_logical_bytes\": " << total_logical
-      << ",\n  \"total_encoded_bytes\": " << total_encoded
-      << ",\n  \"total_ratio\": " << obs::jsonNumber(total_ratio)
-      << "\n}\n";
-    return true;
+        double total_ratio = total_encoded > 0
+            ? static_cast<double>(total_logical) / total_encoded : 1.0;
+        w.endArray().key("total_logical_bytes").integer(total_logical);
+        w.key("total_encoded_bytes").integer(total_encoded);
+        w.key("total_ratio").number(total_ratio).endObject();
+    });
 }
 
 } // namespace
@@ -140,8 +107,12 @@ writeCompressionReport(const std::string &path, const Catalog &cat)
 int
 main(int argc, char **argv)
 {
-    std::string json_path = jsonPathFromArgs(argc, argv);
-    double sf = scaleFactor();
+    obs::Args args = obs::parseArgs(
+        argc, argv, 1, {"--json", "--compression-report"}, {"--explain"}, 0);
+    exitOnArgError(args, argv[0]);
+    std::string json_path = args.value("--json");
+    std::string report_path = args.value("--compression-report");
+    double sf = env::scaleFactor();
     Fixture fx(sf);
     header("Fig 16: TPC-H SF-1000 AQUOMAN performance profiling "
            "(functional runs at SF " + std::to_string(sf) + ")");
@@ -299,7 +270,7 @@ main(int argc, char **argv)
                 "thread(s)\n", bench_wall, rows.size(),
                 ThreadPool::global().parallelism());
 
-    if (hasFlag(argc, argv, "--explain")) {
+    if (args.has("--explain")) {
         header("EXPLAIN ANALYZE: L-AQUOMAN (40GB device DRAM, modelled "
                "at SF-1000)");
         for (const auto &r : rows)
@@ -307,25 +278,27 @@ main(int argc, char **argv)
     }
 
     if (!json_path.empty()) {
-        std::vector<JsonRecord> records;
-        for (const auto &r : rows) {
-            JsonRecord rec;
-            rec.add("query", r.q);
-            rec.add("wall_seconds", r.wallSeconds);
-            rec.add("modelled_s_seconds", r.runS);
-            rec.add("modelled_l_seconds", r.runL);
-            rec.add("modelled_s_aquoman_seconds", r.runSAq);
-            rec.add("modelled_l_aquoman_seconds", r.runLAq);
-            rec.add("modelled_s_aquoman16_seconds", r.runSAq16);
-            rec.add("frac_runtime_on_device", r.fracOnDevice);
-            rec.add("cpu_saving", r.cpuSaving);
-            rec.add("queue_wait_seconds", r.queueWait);
-            rec.add("suspend_count", r.suspendCount);
-            rec.add("host_finish_bytes", r.hostFinishBytes);
-            rec.add("flash_bytes", r.flashBytes);
-            rec.addRaw("profile", r.profile.jsonString());
-            records.push_back(std::move(rec));
-        }
+        auto records = [&](obs::JsonWriter &w) {
+            for (const auto &r : rows) {
+                w.beginObject();
+                w.key("query").number(r.q);
+                w.key("wall_seconds").number(r.wallSeconds);
+                w.key("modelled_s_seconds").number(r.runS);
+                w.key("modelled_l_seconds").number(r.runL);
+                w.key("modelled_s_aquoman_seconds").number(r.runSAq);
+                w.key("modelled_l_aquoman_seconds").number(r.runLAq);
+                w.key("modelled_s_aquoman16_seconds").number(r.runSAq16);
+                w.key("frac_runtime_on_device").number(r.fracOnDevice);
+                w.key("cpu_saving").number(r.cpuSaving);
+                w.key("queue_wait_seconds").number(r.queueWait);
+                w.key("suspend_count").number(r.suspendCount);
+                w.key("host_finish_bytes").number(r.hostFinishBytes);
+                w.key("flash_bytes").number(r.flashBytes);
+                w.key("profile");
+                r.profile.toJson(w);
+                w.endObject();
+            }
+        };
         // Latency distributions over the 22 queries (modelled seconds;
         // deterministic, so p50/p90/p99 are stable across runs).
         obs::Histogram lat_hist, queue_hist, wall_hist;
@@ -334,17 +307,14 @@ main(int argc, char **argv)
             queue_hist.record(r.queueWait);
             wall_hist.record(r.wallSeconds);
         }
-        if (writeJsonReport(json_path, records,
-                            {{"query_latency_seconds", lat_hist},
-                             {"queue_wait_seconds", queue_hist},
-                             {"wall_seconds", wall_hist}}))
-            std::printf("wrote %s\n", json_path.c_str());
-        else
+        if (!writeJsonReport(json_path, records,
+                             {{"query_latency_seconds", lat_hist},
+                              {"queue_wait_seconds", queue_hist},
+                              {"wall_seconds", wall_hist}}))
             return 1;
+        std::printf("wrote %s\n", json_path.c_str());
     }
 
-    std::string report_path =
-        flagValue(argc, argv, "--compression-report");
     if (!report_path.empty()) {
         if (!writeCompressionReport(report_path, fx.catalog))
             return 1;

@@ -21,7 +21,7 @@ using namespace aquoman::bench;
 int
 main()
 {
-    double sf = scaleFactor();
+    double sf = env::scaleFactor();
     Fixture fx(sf);
     header("Fig 17: validating the analytic model against the detailed "
            "device model (q1, q6, q3, q10)");

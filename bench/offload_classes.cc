@@ -18,7 +18,7 @@ using namespace aquoman::bench;
 int
 main()
 {
-    double sf = scaleFactor();
+    double sf = env::scaleFactor();
     Fixture fx(sf);
     HostModel host(HostConfig::large());
     header("Offload classification (paper: 14 full / {11,17,18,22} "

@@ -47,70 +47,30 @@ struct RunResult
     int devices;
     ServiceStats stats;
     double wallSeconds;
-    std::vector<std::string> switchPorts; ///< per-device port JSON
+    std::string switchPorts; ///< per-device port ledgers, JSON array
     std::vector<obs::QueryProfile> profiles; ///< per completed query
     std::int64_t flightDumps = 0;
 };
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == flag)
-            return true;
-    return false;
-}
-
-/**
- * Parameter seed (--seed N, default 0). Seed 0 pins every client to
- * the validation-parameter instances — byte-identical to the plans
- * this bench has always run — while a nonzero seed draws a distinct
- * parameter set per (client, round) from the workload generator.
- */
-std::uint64_t
-seedFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::string(argv[i]) == "--seed")
-            return std::strtoull(argv[i + 1], nullptr, 10);
-    return 0;
-}
 
 /**
  * One device's switch-port byte ledgers as a JSON object
  * ({"aquoman.bytesRead": .., "host.bytesWritten": .., ...}), keys in
  * name order, ports that moved no bytes omitted.
  */
-std::string
-switchPortsJson(const ControllerSwitch &sw)
+void
+switchPortsJson(obs::JsonWriter &w, const ControllerSwitch &sw)
 {
-    std::string out = "{";
+    w.beginObject();
     for (FlashPort port : {FlashPort::Aquoman, FlashPort::Host}) {
         std::string name = port == FlashPort::Host ? "host" : "aquoman";
         for (auto [what, bytes] :
              {std::pair{".bytesRead", sw.bytesRead(port)},
               std::pair{".bytesWritten", sw.bytesWritten(port)}}) {
-            if (bytes == 0)
-                continue;
-            out += (out.size() > 1 ? ", \"" : "\"") + name + what
-                + "\": " + obs::jsonNumber(static_cast<double>(bytes));
+            if (bytes != 0)
+                w.key(name + what).number(static_cast<double>(bytes));
         }
     }
-    return out + "}";
-}
-
-/** Render a name->count map as a JSON object string. */
-std::string
-countsJson(const std::map<std::string, std::int64_t> &counts)
-{
-    std::string out = "{";
-    bool first = true;
-    for (const auto &[name, n] : counts) {
-        out += (first ? "\"" : ", \"") + obs::jsonEscape(name)
-            + "\": " + std::to_string(n);
-        first = false;
-    }
-    return out + "}";
+    w.endObject();
 }
 
 RunResult
@@ -157,8 +117,12 @@ runWorkload(const tpch::TpchDatabase &db,
     r.stats = svc.aggregate();
     r.wallSeconds = timer.seconds();
     r.flightDumps = svc.flightDumps();
-    for (int d = 0; d < num_devices; ++d)
-        r.switchPorts.push_back(switchPortsJson(svc.deviceSwitch(d)));
+    r.switchPorts = obs::jsonString([&](obs::JsonWriter &w) {
+        w.beginArray();
+        for (int d = 0; d < num_devices; ++d)
+            switchPortsJson(w, svc.deviceSwitch(d));
+        w.endArray();
+    });
     for (QueryId id = 0;
          id < static_cast<QueryId>(svc.numQueries()); ++id)
         r.profiles.push_back(svc.record(id).profile);
@@ -170,9 +134,15 @@ runWorkload(const tpch::TpchDatabase &db,
 int
 main(int argc, char **argv)
 {
-    std::string json_path = jsonPathFromArgs(argc, argv);
-    double sf = scaleFactor();
-    std::uint64_t seed = seedFromArgs(argc, argv);
+    obs::Args args = obs::parseArgs(argc, argv, 1, {"--json", "--seed"},
+                                    {"--explain"}, 0);
+    // Seed 0 pins every client to the validation-parameter instances
+    // (the plans this bench has always run); a nonzero seed draws a
+    // distinct parameter set per (client, round).
+    std::uint64_t seed = args.integer("--seed", 0);
+    exitOnArgError(args, argv[0]);
+    std::string json_path = args.value("--json");
+    double sf = env::scaleFactor();
     header("Service throughput: " + std::to_string(kClients)
            + " closed-loop TPC-H clients x " + std::to_string(kRounds)
            + " rounds (functional runs at SF " + std::to_string(sf)
@@ -220,7 +190,7 @@ main(int argc, char **argv)
         std::printf("  suspend %-12s %6lld\n", why.c_str(),
                     static_cast<long long>(n));
 
-    if (hasFlag(argc, argv, "--explain")) {
+    if (args.has("--explain")) {
         header("EXPLAIN ANALYZE: completed queries ("
                + std::to_string(runs.back().devices) + " devices)");
         for (const obs::QueryProfile &p : runs.back().profiles)
@@ -228,48 +198,48 @@ main(int argc, char **argv)
     }
 
     if (!json_path.empty()) {
-        std::vector<JsonRecord> records;
-        for (const RunResult &r : runs) {
-            JsonRecord rec;
-            rec.add("devices", r.devices);
-            rec.add("clients", kClients);
-            rec.add("rounds", kRounds);
-            rec.add("seed", static_cast<double>(seed));
-            rec.add("queries_completed",
-                    static_cast<double>(r.stats.completed));
-            rec.add("makespan_seconds", r.stats.makespanSec);
-            rec.add("throughput_qps", r.stats.throughputQps);
-            rec.add("p50_latency_seconds", r.stats.p50LatencySec);
-            rec.add("p95_latency_seconds", r.stats.p95LatencySec);
-            rec.add("p99_latency_seconds", r.stats.p99LatencySec);
-            rec.add("mean_queue_wait_seconds",
-                    r.stats.meanQueueWaitSec);
-            rec.add("suspend_rate", r.stats.suspendRate);
-            rec.add("flight_dumps",
-                    static_cast<double>(r.flightDumps));
-            rec.add("wall_seconds", r.wallSeconds);
-            rec.addRaw("bottleneck_tasks",
-                       countsJson(r.stats.bottleneckTaskCounts));
-            rec.addRaw("suspend_reasons",
-                       countsJson(r.stats.suspendReasonCounts));
-            rec.addRaw("query_latency_histogram",
-                       histogramJson(r.stats.latencyHistogram));
-            rec.addRaw("queue_wait_histogram",
-                       histogramJson(r.stats.queueWaitHistogram));
-            std::string ports = "[";
-            for (std::size_t d = 0; d < r.switchPorts.size(); ++d)
-                ports += (d ? ", " : "") + r.switchPorts[d];
-            rec.addRaw("switch_ports", ports + "]");
-            records.push_back(std::move(rec));
-        }
+        auto records = [&](obs::JsonWriter &w) {
+            auto num = [&w](const char *k, double v) { w.key(k).number(v); };
+            auto counts = [&w](const char *k,
+                               const std::map<std::string, std::int64_t> &m) {
+                w.key(k).beginObject();
+                for (const auto &[name, n] : m)
+                    w.key(name).integer(n);
+                w.endObject();
+            };
+            for (const RunResult &r : runs) {
+                w.beginObject();
+                num("devices", r.devices);
+                num("clients", kClients);
+                num("rounds", kRounds);
+                num("seed", seed);
+                num("queries_completed", r.stats.completed);
+                num("makespan_seconds", r.stats.makespanSec);
+                num("throughput_qps", r.stats.throughputQps);
+                num("p50_latency_seconds", r.stats.p50LatencySec);
+                num("p95_latency_seconds", r.stats.p95LatencySec);
+                num("p99_latency_seconds", r.stats.p99LatencySec);
+                num("mean_queue_wait_seconds", r.stats.meanQueueWaitSec);
+                num("suspend_rate", r.stats.suspendRate);
+                num("flight_dumps", r.flightDumps);
+                num("wall_seconds", r.wallSeconds);
+                counts("bottleneck_tasks", r.stats.bottleneckTaskCounts);
+                counts("suspend_reasons", r.stats.suspendReasonCounts);
+                w.key("query_latency_histogram");
+                r.stats.latencyHistogram.toJson(w);
+                w.key("queue_wait_histogram");
+                r.stats.queueWaitHistogram.toJson(w);
+                w.key("switch_ports").raw(r.switchPorts);
+                w.endObject();
+            }
+        };
         const ServiceStats &widest = runs.back().stats;
-        if (writeJsonReport(
+        if (!writeJsonReport(
                 json_path, records,
                 {{"query_latency_seconds", widest.latencyHistogram},
                  {"queue_wait_seconds", widest.queueWaitHistogram}}))
-            std::printf("wrote %s\n", json_path.c_str());
-        else
             return 1;
+        std::printf("wrote %s\n", json_path.c_str());
     }
     return monotonic ? 0 : 1;
 }

@@ -68,9 +68,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -92,44 +92,6 @@ constexpr int kAdmissionLimit = 8;
 constexpr int kMaxQueuedPerTenant = 64;
 /// Arrivals wanted in the 2x trace (>= 1000 distinct instances).
 constexpr double kTraceTarget = 1100.0;
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == flag)
-            return true;
-    return false;
-}
-
-std::uint64_t
-seedFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::string(argv[i]) == "--seed")
-            return std::strtoull(argv[i + 1], nullptr, 10);
-    return 1;
-}
-
-std::string
-stringFromArgs(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::string(argv[i]) == flag)
-            return argv[i + 1];
-    return "";
-}
-
-/** Same nearest-rank percentile the service's aggregate() uses. */
-double
-percentileOf(std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    auto idx = static_cast<std::size_t>(
-        std::ceil(p * static_cast<double>(sorted.size()))) - 1;
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
 
 /** The three-tenant mix; rates filled in per run from the probe. */
 std::vector<TenantSpec>
@@ -406,9 +368,9 @@ runTrace(const tpch::TpchDatabase &db, const TpchInstanceGenerator &gen,
         TenantOut &t = out.tenants[ti];
         t.name = mix[ti].name;
         std::sort(lat[ti].begin(), lat[ti].end());
-        t.p50 = percentileOf(lat[ti], 0.50);
-        t.p90 = percentileOf(lat[ti], 0.90);
-        t.p99 = percentileOf(lat[ti], 0.99);
+        t.p50 = obs::percentile(lat[ti], 0.50);
+        t.p90 = obs::percentile(lat[ti], 0.90);
+        t.p99 = obs::percentile(lat[ti], 0.99);
         if (t.completed > 0)
             t.meanQueueWaitSec /= static_cast<double>(t.completed);
         if (t.submitted > 0)
@@ -469,12 +431,12 @@ runSampleCheck(const tpch::TpchDatabase &db,
     tracer.enable();
     runTrace(db, gen, tmix, trace, overload, false, slo_window_sec,
              /*trace_sample_n=*/0);
-    out.unsampledBytes = tracer.toJson().size();
+    out.unsampledBytes = obs::jsonString(tracer).size();
 
     tracer.clear();
     RunOut sampled = runTrace(db, gen, tmix, trace, overload, false,
                               slo_window_sec, /*trace_sample_n=*/10);
-    out.sampledBytes = tracer.toJson().size();
+    out.sampledBytes = obs::jsonString(tracer).size();
     out.droppedEvents = tracer.droppedEvents();
 
     std::set<std::int64_t> groups;
@@ -500,24 +462,17 @@ bool
 writeSloReport(const std::string &path, double window_sec,
                std::uint64_t seed, const std::vector<RunOut> &runs)
 {
-    std::ofstream f(path);
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    f << "{\"window_seconds\":" << obs::jsonNumber(window_sec)
-      << ",\"seed\":" << seed << ",\"runs\":[";
-    bool first = true;
-    for (const RunOut &r : runs) {
-        f << (first ? "" : ",") << "{\"label\":\"" << r.label
-          << "\",\"overload\":" << obs::jsonNumber(r.overload)
-          << ",\"fifo\":" << (r.fifo ? 1 : 0)
-          << ",\"alerts\":" << r.sloAlerts << ",\"slo\":" << r.sloJson
-          << '}';
-        first = false;
-    }
-    f << "]}\n";
-    return f.good();
+    return obs::writeJsonFile(path, [&](obs::JsonWriter &w) {
+        w.beginObject().key("window_seconds").number(window_sec);
+        w.key("seed").integer(seed).key("runs").beginArray();
+        for (const RunOut &r : runs) {
+            w.beginObject().key("label").string(r.label);
+            w.key("overload").number(r.overload).key("fifo").integer(r.fifo);
+            w.key("alerts").integer(r.sloAlerts).key("slo").raw(r.sloJson);
+            w.endObject();
+        }
+        w.endArray().endObject();
+    });
 }
 
 /**
@@ -531,57 +486,45 @@ bool
 writeAnatomyReport(const std::string &path, std::uint64_t seed,
                    const std::vector<RunOut> &runs)
 {
-    std::ofstream f(path);
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    f << "{\"seed\":" << seed << ",\"runs\":[";
-    bool firstRun = true;
-    for (const RunOut &r : runs) {
-        std::vector<std::string> names;
-        for (const TenantStats &t : r.stats.tenants)
-            names.push_back(t.name);
-        f << (firstRun ? "" : ",") << "{\"label\":\"" << r.label
-          << "\",\"overload\":" << obs::jsonNumber(r.overload)
-          << ",\"fifo\":" << (r.fifo ? 1 : 0) << ",\"wait_totals\":";
-        r.stats.waitLedger.toJson(f);
-        f << ",\"blame\":";
-        r.stats.blame.toJson(f, names);
-        f << ",\"tenant_contention_seconds\":[";
-        for (std::size_t ti = 0; ti < r.stats.tenants.size(); ++ti)
-            f << (ti ? "," : "")
-              << obs::jsonNumber(r.stats.tenants[ti].contentionWaitSec);
-        f << "],\"queries\":[";
-        bool firstQ = true;
-        for (const QueryAnatomyOut &qa : r.anatomy) {
-            f << (firstQ ? "" : ",") << "{\"id\":" << qa.id
-              << ",\"name\":\"" << obs::jsonEscape(qa.name)
-              << "\",\"tenant\":" << qa.tenant
-              << ",\"submit_seconds\":" << obs::jsonNumber(qa.submitSec)
-              << ",\"done_seconds\":" << obs::jsonNumber(qa.doneSec)
-              << ",\"shed\":" << (qa.shed ? 1 : 0) << ",\"wait\":";
-            qa.wait.toJson(f);
-            f << ",\"contention_seconds\":"
-              << obs::jsonNumber(qa.contentionSec) << ",\"path\":[";
-            for (std::size_t si = 0; si < qa.path.size(); ++si) {
-                const obs::WaitSegment &s = qa.path[si];
-                f << (si ? "," : "") << "{\"class\":\""
-                  << obs::waitClassName(s.cls)
-                  << "\",\"start_seconds\":"
-                  << obs::jsonNumber(s.startSec) << ",\"end_seconds\":"
-                  << obs::jsonNumber(s.endSec) << ",\"device\":"
-                  << s.device << ",\"detail\":\""
-                  << obs::jsonEscape(s.detail) << "\"}";
+    return obs::writeJsonFile(path, [&](obs::JsonWriter &w) {
+        w.beginObject().key("seed").integer(seed).key("runs").beginArray();
+        for (const RunOut &r : runs) {
+            std::vector<std::string> names;
+            for (const TenantStats &t : r.stats.tenants)
+                names.push_back(t.name);
+            w.beginObject().key("label").string(r.label);
+            w.key("overload").number(r.overload).key("fifo").integer(r.fifo);
+            w.key("wait_totals");
+            r.stats.waitLedger.toJson(w);
+            w.key("blame");
+            r.stats.blame.toJson(w, names);
+            w.key("tenant_contention_seconds").beginArray();
+            for (const TenantStats &t : r.stats.tenants)
+                w.number(t.contentionWaitSec);
+            w.endArray().key("queries").beginArray();
+            for (const QueryAnatomyOut &qa : r.anatomy) {
+                w.beginObject().key("id").integer(qa.id);
+                w.key("name").string(qa.name).key("tenant").integer(qa.tenant);
+                w.key("submit_seconds").number(qa.submitSec);
+                w.key("done_seconds").number(qa.doneSec);
+                w.key("shed").integer(qa.shed).key("wait");
+                qa.wait.toJson(w);
+                w.key("contention_seconds").number(qa.contentionSec);
+                w.key("path").beginArray();
+                for (const obs::WaitSegment &seg : qa.path) {
+                    w.beginObject();
+                    w.key("class").string(obs::waitClassName(seg.cls));
+                    w.key("start_seconds").number(seg.startSec);
+                    w.key("end_seconds").number(seg.endSec);
+                    w.key("device").integer(seg.device);
+                    w.key("detail").string(seg.detail).endObject();
+                }
+                w.endArray().endObject();
             }
-            f << "]}";
-            firstQ = false;
+            w.endArray().endObject();
         }
-        f << "]}";
-        firstRun = false;
-    }
-    f << "]}\n";
-    return f.good();
+        w.endArray().endObject();
+    });
 }
 
 } // namespace
@@ -589,13 +532,17 @@ writeAnatomyReport(const std::string &path, std::uint64_t seed,
 int
 main(int argc, char **argv)
 {
-    std::string json_path = jsonPathFromArgs(argc, argv);
-    std::string slo_path = stringFromArgs(argc, argv, "--slo-report");
-    std::string anatomy_path = stringFromArgs(argc, argv, "--anatomy");
-    bool check_overload = hasFlag(argc, argv, "--check-overload");
-    bool check_slo = hasFlag(argc, argv, "--check-slo");
-    std::uint64_t seed = seedFromArgs(argc, argv);
-    double sf = scaleFactor();
+    obs::Args args = obs::parseArgs(
+        argc, argv, 1, {"--json", "--slo-report", "--anatomy", "--seed"},
+        {"--check-overload", "--check-slo"}, 0);
+    std::uint64_t seed = args.integer("--seed", 1);
+    exitOnArgError(args, argv[0]);
+    std::string json_path = args.value("--json");
+    std::string slo_path = args.value("--slo-report");
+    std::string anatomy_path = args.value("--anatomy");
+    bool check_overload = args.has("--check-overload");
+    bool check_slo = args.has("--check-slo");
+    double sf = env::scaleFactor();
     header("Service workload: open-loop 3-tenant traffic at 1x / 2x "
            "capacity (SF " + std::to_string(sf) + ", seed "
            + std::to_string(seed) + ")");
@@ -700,92 +647,79 @@ main(int argc, char **argv)
     }
 
     if (!json_path.empty()) {
-        std::vector<JsonRecord> records;
-        for (const RunOut &r : runs) {
-            JsonRecord rec;
-            rec.add("devices", kDevices);
-            rec.add("overload", r.overload);
-            rec.add("fifo", r.fifo ? 1 : 0);
-            rec.add("seed", static_cast<double>(seed));
-            rec.add("instances", static_cast<double>(r.instances));
-            rec.add("queries_completed",
-                    static_cast<double>(r.stats.completed));
-            rec.add("modelled_makespan_seconds", r.stats.makespanSec);
-            rec.add("modelled_shed_total",
-                    static_cast<double>(r.stats.shedTotal));
-            rec.add("modelled_shed_rate", r.stats.shedRate);
-            rec.add("modelled_goodput_qps", r.goodputQps);
-            rec.add("modelled_throughput_qps", r.stats.throughputQps);
-            rec.add("modelled_p99_latency_seconds",
-                    r.stats.p99LatencySec);
-            rec.add("modelled_slo_alerts",
-                    static_cast<double>(r.sloAlerts));
-            for (int wc = 0; wc < obs::kNumWaitClasses; ++wc)
-                rec.add(std::string("modelled_wait_")
-                            + obs::waitClassName(
-                                  static_cast<obs::WaitClass>(wc))
-                            + "_seconds",
-                        r.stats.waitLedger.sec[wc]);
-            rec.add("modelled_contention_wait_seconds",
-                    r.stats.contentionWaitSec);
-            auto shedCount = [&r](const char *reason) {
-                auto it = r.stats.shedReasonCounts.find(reason);
-                return it == r.stats.shedReasonCounts.end()
-                    ? 0.0
-                    : static_cast<double>(it->second);
+        auto records = [&](obs::JsonWriter &w) {
+            auto num = [&w](const std::string &k, double v) {
+                w.key(k).number(v);
             };
-            rec.add("modelled_shed_queue_full",
-                    shedCount("queue_full"));
-            rec.add("modelled_shed_quota_below_reservation",
-                    shedCount("quota_below_reservation"));
-            rec.add("wall_seconds", r.wallSeconds);
-            rec.addRaw("query_latency_histogram",
-                       histogramJson(r.stats.latencyHistogram));
-            records.push_back(std::move(rec));
-            for (std::size_t ti = 0; ti < r.tenants.size(); ++ti) {
-                const TenantOut &t = r.tenants[ti];
-                JsonRecord trec;
-                trec.add("tenant", static_cast<double>(ti));
-                trec.add("overload", r.overload);
-                trec.add("fifo", r.fifo ? 1 : 0);
-                trec.add("submitted",
-                         static_cast<double>(t.submitted));
-                trec.add("completed",
-                         static_cast<double>(t.completed));
-                trec.add("modelled_shed",
-                         static_cast<double>(t.shed));
-                trec.add("modelled_shed_rate", t.shedRate);
-                trec.add("modelled_p50_latency_seconds", t.p50);
-                trec.add("modelled_p90_latency_seconds", t.p90);
-                trec.add("modelled_p99_latency_seconds", t.p99);
-                trec.add("modelled_mean_queue_wait_seconds",
-                         t.meanQueueWaitSec);
+            auto waits = [&](const obs::WaitLedger &ledger) {
                 for (int wc = 0; wc < obs::kNumWaitClasses; ++wc)
-                    trec.add(std::string("modelled_wait_")
-                                 + obs::waitClassName(
-                                       static_cast<obs::WaitClass>(wc))
-                                 + "_seconds",
-                             t.wait.sec[wc]);
-                trec.add("modelled_contention_wait_seconds",
-                         t.contentionWaitSec);
-                trec.add("modelled_within_slo",
-                         static_cast<double>(t.withinSlo));
-                trec.add("modelled_slo_violations",
-                         static_cast<double>(t.completed
-                                             - t.withinSlo));
-                trec.add("modelled_goodput_qps", t.goodputQps);
-                records.push_back(std::move(trec));
+                    num(std::string("modelled_wait_")
+                            + obs::waitClassName(
+                                static_cast<obs::WaitClass>(wc))
+                            + "_seconds",
+                        ledger.sec[wc]);
+            };
+            for (const RunOut &r : runs) {
+                auto shedCount = [&r](const char *reason) {
+                    auto it = r.stats.shedReasonCounts.find(reason);
+                    return it == r.stats.shedReasonCounts.end()
+                        ? 0 : it->second;
+                };
+                w.beginObject();
+                num("devices", kDevices);
+                num("overload", r.overload);
+                num("fifo", r.fifo ? 1 : 0);
+                num("seed", seed);
+                num("instances", r.instances);
+                num("queries_completed", r.stats.completed);
+                num("modelled_makespan_seconds", r.stats.makespanSec);
+                num("modelled_shed_total", r.stats.shedTotal);
+                num("modelled_shed_rate", r.stats.shedRate);
+                num("modelled_goodput_qps", r.goodputQps);
+                num("modelled_throughput_qps", r.stats.throughputQps);
+                num("modelled_p99_latency_seconds", r.stats.p99LatencySec);
+                num("modelled_slo_alerts", r.sloAlerts);
+                waits(r.stats.waitLedger);
+                num("modelled_contention_wait_seconds",
+                    r.stats.contentionWaitSec);
+                num("modelled_shed_queue_full", shedCount("queue_full"));
+                num("modelled_shed_quota_below_reservation",
+                    shedCount("quota_below_reservation"));
+                num("wall_seconds", r.wallSeconds);
+                w.key("query_latency_histogram");
+                r.stats.latencyHistogram.toJson(w);
+                w.endObject();
+                for (std::size_t ti = 0; ti < r.tenants.size(); ++ti) {
+                    const TenantOut &t = r.tenants[ti];
+                    w.beginObject();
+                    num("tenant", ti);
+                    num("overload", r.overload);
+                    num("fifo", r.fifo ? 1 : 0);
+                    num("submitted", t.submitted);
+                    num("completed", t.completed);
+                    num("modelled_shed", t.shed);
+                    num("modelled_shed_rate", t.shedRate);
+                    num("modelled_p50_latency_seconds", t.p50);
+                    num("modelled_p90_latency_seconds", t.p90);
+                    num("modelled_p99_latency_seconds", t.p99);
+                    num("modelled_mean_queue_wait_seconds",
+                        t.meanQueueWaitSec);
+                    waits(t.wait);
+                    num("modelled_contention_wait_seconds",
+                        t.contentionWaitSec);
+                    num("modelled_within_slo", t.withinSlo);
+                    num("modelled_slo_violations", t.completed - t.withinSlo);
+                    num("modelled_goodput_qps", t.goodputQps);
+                    w.endObject();
+                }
             }
-        }
-        if (writeJsonReport(
+        };
+        if (!writeJsonReport(
                 json_path, records,
-                {{"query_latency_seconds",
-                  drr2.stats.latencyHistogram},
-                 {"queue_wait_seconds",
-                  drr2.stats.queueWaitHistogram}}))
-            std::printf("wrote %s\n", json_path.c_str());
-        else
+                {{"query_latency_seconds", drr2.stats.latencyHistogram},
+                 {"queue_wait_seconds", drr2.stats.queueWaitHistogram}}))
             return 1;
+        std::printf("wrote %s\n", json_path.c_str());
     }
 
     if (!slo_path.empty()) {

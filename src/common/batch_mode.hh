@@ -12,35 +12,26 @@
 #ifndef AQUOMAN_COMMON_BATCH_MODE_HH
 #define AQUOMAN_COMMON_BATCH_MODE_HH
 
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
+#include "common/env_options.hh"
 
 namespace aquoman {
 
 namespace detail {
-/// -1 = unresolved, 0 = scalar, 1 = batched.
-inline std::atomic<int> g_batch_mode{-1};
+inline constinit LazySwitch g_batch_mode{[] { return env::batch(); }};
 } // namespace detail
 
 /** Batch engine on? Defaults to on; env AQUOMAN_BATCH=0 disables. */
 inline bool
 batchExecutionEnabled()
 {
-    int v = detail::g_batch_mode.load(std::memory_order_relaxed);
-    if (v < 0) {
-        const char *e = std::getenv("AQUOMAN_BATCH");
-        v = (e != nullptr && std::string_view(e) == "0") ? 0 : 1;
-        detail::g_batch_mode.store(v, std::memory_order_relaxed);
-    }
-    return v == 1;
+    return detail::g_batch_mode.get();
 }
 
 /** Test hook: force batch (true) or scalar-oracle (false) execution. */
 inline void
 setBatchExecutionEnabled(bool on)
 {
-    detail::g_batch_mode.store(on ? 1 : 0, std::memory_order_relaxed);
+    detail::g_batch_mode.set(on);
 }
 
 } // namespace aquoman

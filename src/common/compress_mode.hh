@@ -18,36 +18,26 @@
 #ifndef AQUOMAN_COMMON_COMPRESS_MODE_HH
 #define AQUOMAN_COMMON_COMPRESS_MODE_HH
 
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
+#include "common/env_options.hh"
 
 namespace aquoman {
 
 namespace detail {
-/// -1 = unresolved, 0 = uncompressed oracle, 1 = compressed.
-inline std::atomic<int> g_compress_mode{-1};
+inline constinit LazySwitch g_compress_mode{[] { return env::compress(); }};
 } // namespace detail
 
 /** Compression on? Defaults to on; env AQUOMAN_COMPRESS=0 disables. */
 inline bool
 compressionEnabled()
 {
-    int v = detail::g_compress_mode.load(std::memory_order_relaxed);
-    if (v < 0) {
-        const char *e = std::getenv("AQUOMAN_COMPRESS");
-        v = (e != nullptr && std::string_view(e) == "0") ? 0 : 1;
-        detail::g_compress_mode.store(v, std::memory_order_relaxed);
-    }
-    return v == 1;
+    return detail::g_compress_mode.get();
 }
 
 /** Test hook: force compressed (true) or raw-oracle (false) layout. */
 inline void
 setCompressionEnabled(bool on)
 {
-    detail::g_compress_mode.store(on ? 1 : 0,
-                                  std::memory_order_relaxed);
+    detail::g_compress_mode.set(on);
 }
 
 } // namespace aquoman

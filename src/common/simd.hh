@@ -12,15 +12,21 @@
 #ifndef AQUOMAN_COMMON_SIMD_HH
 #define AQUOMAN_COMMON_SIMD_HH
 
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
+#include "common/env_options.hh"
 
 namespace aquoman {
 
 namespace detail {
-/// -1 = unresolved, 0 = generic kernels, 1 = AVX2 kernels.
-inline std::atomic<int> g_avx2_mode{-1};
+inline constinit LazySwitch g_avx2_mode{[] {
+    // Read the variable first so a malformed value fails on every CPU.
+    bool allowed = env::avx2();
+#if defined(__x86_64__) && defined(__GNUC__)
+    return allowed && __builtin_cpu_supports("avx2");
+#else
+    (void)allowed;
+    return false;
+#endif
+}};
 } // namespace detail
 
 /**
@@ -31,20 +37,7 @@ inline std::atomic<int> g_avx2_mode{-1};
 inline bool
 avx2Available()
 {
-    int v = detail::g_avx2_mode.load(std::memory_order_relaxed);
-    if (v < 0) {
-#if defined(__x86_64__) && defined(__GNUC__)
-        bool on = __builtin_cpu_supports("avx2");
-#else
-        bool on = false;
-#endif
-        const char *e = std::getenv("AQUOMAN_AVX2");
-        if (e != nullptr && std::string_view(e) == "0")
-            on = false;
-        v = on ? 1 : 0;
-        detail::g_avx2_mode.store(v, std::memory_order_relaxed);
-    }
-    return v == 1;
+    return detail::g_avx2_mode.get();
 }
 
 /**
@@ -55,7 +48,7 @@ avx2Available()
 inline void
 setAvx2Enabled(bool on)
 {
-    detail::g_avx2_mode.store(on ? 1 : 0, std::memory_order_relaxed);
+    detail::g_avx2_mode.set(on);
 }
 
 } // namespace aquoman

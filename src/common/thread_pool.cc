@@ -1,9 +1,10 @@
 #include "common/thread_pool.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
+#include <optional>
 
+#include "common/env_options.hh"
 #include "common/logging.hh"
 
 namespace aquoman {
@@ -166,11 +167,8 @@ ThreadPool::splitRange(std::int64_t begin, std::int64_t end,
 int
 ThreadPool::configuredParallelism()
 {
-    if (const char *env = std::getenv("AQUOMAN_THREADS")) {
-        int n = std::atoi(env);
-        if (n >= 1)
-            return n;
-    }
+    if (std::optional<int> n = env::threads())
+        return *n;
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
 }

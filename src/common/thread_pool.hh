@@ -81,7 +81,9 @@ class ThreadPool
 
     /**
      * Parallelism requested by the environment: AQUOMAN_THREADS when
-     * set to a positive integer, otherwise std::thread::hardware_concurrency.
+     * set, otherwise std::thread::hardware_concurrency.
+     * @throws FatalError when AQUOMAN_THREADS is not an integer from 1
+     * to 1024.
      */
     static int configuredParallelism();
 

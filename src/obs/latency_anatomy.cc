@@ -57,14 +57,19 @@ WaitLedger::operator+=(const WaitLedger &o)
 }
 
 void
+WaitLedger::toJson(JsonWriter &w) const
+{
+    w.beginObject();
+    for (int i = 0; i < kNumWaitClasses; ++i)
+        w.key(waitClassName(static_cast<WaitClass>(i))).number(sec[i]);
+    w.endObject();
+}
+
+void
 WaitLedger::toJson(std::ostream &os) const
 {
-    os << '{';
-    for (int i = 0; i < kNumWaitClasses; ++i)
-        os << (i ? "," : "") << '"'
-           << waitClassName(static_cast<WaitClass>(i))
-           << "\":" << jsonNumber(sec[i]);
-    os << '}';
+    JsonWriter w(os);
+    toJson(w);
 }
 
 bool
@@ -151,24 +156,22 @@ BlameMatrix::operator+=(const BlameMatrix &o)
 }
 
 void
-BlameMatrix::toJson(std::ostream &os,
+BlameMatrix::toJson(JsonWriter &w,
                     const std::vector<std::string> &tenantNames) const
 {
-    os << "{\"tenants\":[";
+    w.beginObject().key("tenants").beginArray();
     for (int i = 0; i < n; ++i)
-        os << (i ? "," : "") << '"'
-           << jsonEscape(i < static_cast<int>(tenantNames.size())
-                             ? tenantNames[static_cast<std::size_t>(i)]
-                             : std::to_string(i))
-           << '"';
-    os << "],\"seconds\":[";
+        w.string(i < static_cast<int>(tenantNames.size())
+                     ? tenantNames[static_cast<std::size_t>(i)]
+                     : std::to_string(i));
+    w.endArray().key("seconds").beginArray();
     for (int v = 0; v < n; ++v) {
-        os << (v ? "," : "") << '[';
+        w.beginArray();
         for (int c = 0; c < n; ++c)
-            os << (c ? "," : "") << jsonNumber(at(v, c));
-        os << ']';
+            w.number(at(v, c));
+        w.endArray();
     }
-    os << "]}";
+    w.endArray().endObject();
 }
 
 void

@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hh"
 #include "obs/profile.hh"
 
 namespace aquoman::obs {
@@ -106,7 +107,8 @@ struct WaitLedger
 
     WaitLedger &operator+=(const WaitLedger &o);
 
-    /** {"admission_queue":...,...,"host_finish":...} (%.17g). */
+    /** {"admission_queue":...,...,"host_finish":...} */
+    void toJson(JsonWriter &w) const;
     void toJson(std::ostream &os) const;
 };
 
@@ -178,8 +180,8 @@ struct BlameMatrix
 
     BlameMatrix &operator+=(const BlameMatrix &o);
 
-    /** {"tenants":[...],"seconds":[[row0...],[row1...]]} (%.17g). */
-    void toJson(std::ostream &os,
+    /** {"tenants":[...],"seconds":[[row0...],[row1...]]} */
+    void toJson(JsonWriter &w,
                 const std::vector<std::string> &tenantNames) const;
 
     /** Aligned victim-rows x culprit-columns text table. */

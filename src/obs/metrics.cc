@@ -2,51 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace aquoman::obs {
 
-std::string
-jsonNumber(double v)
+double
+percentile(const std::vector<double> &sorted, double p)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
+    if (sorted.empty())
+        return 0.0;
+    auto idx = static_cast<std::size_t>(
+        std::ceil(p * static_cast<double>(sorted.size()))) - 1;
+    return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 // =====================================================================
@@ -134,16 +100,13 @@ Histogram::quantile(double q) const
 }
 
 void
-Histogram::toJson(std::ostream &os) const
+Histogram::toJson(JsonWriter &w) const
 {
-    os << "{\"count\": " << n
-       << ", \"sum\": " << jsonNumber(total)
-       << ", \"min\": " << jsonNumber(min())
-       << ", \"max\": " << jsonNumber(max())
-       << ", \"mean\": " << jsonNumber(mean())
-       << ", \"p50\": " << jsonNumber(quantile(0.50))
-       << ", \"p90\": " << jsonNumber(quantile(0.90))
-       << ", \"p99\": " << jsonNumber(quantile(0.99)) << "}";
+    w.beginObject().key("count").integer(n).key("sum").number(total);
+    w.key("min").number(min()).key("max").number(max());
+    w.key("mean").number(mean()).key("p50").number(quantile(0.50));
+    w.key("p90").number(quantile(0.90)).key("p99").number(quantile(0.99));
+    w.endObject();
 }
 
 std::string

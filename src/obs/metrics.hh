@@ -1,8 +1,8 @@
 /**
  * @file
- * Metric building blocks: the log-bucketed latency Histogram, labeled
- * series keys for the Prometheus exposition, and the JSON number /
- * string helpers every report writer shares. Counters themselves live
+ * Metric building blocks: the log-bucketed latency Histogram, the
+ * nearest-rank percentile, and labeled series keys for the Prometheus
+ * exposition. Counters themselves live
  * in typed fields of the structs that own them (ServiceStats,
  * TenantStats, the flash and switch byte ledgers); windowed series
  * live in obs::TimeSeriesStore.
@@ -13,18 +13,19 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/json.hh"
+
 namespace aquoman::obs {
 
-/** Render @p v as a JSON number that round-trips exactly (%.17g). */
-std::string jsonNumber(double v);
-
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string jsonEscape(const std::string &s);
+/**
+ * Nearest-rank percentile @p p (in (0, 1]) of the ascending samples
+ * @p sorted: the ceil(p*n)-th smallest; 0 when there are none.
+ */
+double percentile(const std::vector<double> &sorted, double p);
 
 /**
  * Escape a Prometheus label value: backslash, double quote and newline
@@ -72,7 +73,7 @@ class Histogram
 
     /** {"count":..,"sum":..,"min":..,"max":..,"mean":..,"p50":..,
      *  "p90":..,"p99":..} */
-    void toJson(std::ostream &os) const;
+    void toJson(JsonWriter &w) const;
 
   private:
     static int bucketOf(double v);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 
@@ -184,42 +183,32 @@ flattenRows(const ProfileNode &n, const std::string &prefix, bool last,
 }
 
 void
-jsonStageSeconds(std::ostream &os, const StageSeconds &s)
+jsonStageSeconds(JsonWriter &w, const StageSeconds &s)
 {
-    os << '{';
-    for (int i = 0; i < kNumPipeStages; ++i) {
-        if (i)
-            os << ',';
-        os << '"' << pipeStageName(static_cast<PipeStage>(i)) << "\":"
-           << jsonNumber(s.sec[i]);
-    }
-    os << '}';
+    w.beginObject();
+    for (int i = 0; i < kNumPipeStages; ++i)
+        w.key(pipeStageName(static_cast<PipeStage>(i))).number(s.sec[i]);
+    w.endObject();
 }
 
 void
-jsonNode(std::ostream &os, const ProfileNode &n)
+jsonNode(JsonWriter &w, const ProfileNode &n)
 {
-    os << "{\"name\":\"" << jsonEscape(n.name) << "\",\"kind\":\""
-       << jsonEscape(n.kind) << '"';
-    os << ",\"rows_in\":" << n.rowsIn << ",\"rows_out\":" << n.rowsOut;
-    os << ",\"selectivity\":" << jsonNumber(n.selectivity());
-    os << ",\"flash_bytes\":" << n.flashBytes << ",\"switch_bytes\":"
-       << n.switchBytes;
-    os << ",\"seconds\":" << jsonNumber(n.stages.total());
-    os << ",\"stage_seconds\":";
-    jsonStageSeconds(os, n.stages);
-    os << ",\"bottleneck\":\"" << pipeStageName(n.stages.bottleneck())
-       << '"';
-    os << ",\"suspend_reason\":\"" << suspendReasonName(n.suspend)
-       << '"';
-    os << ",\"detail\":\"" << jsonEscape(n.detail) << '"';
-    os << ",\"children\":[";
-    for (std::size_t i = 0; i < n.children.size(); ++i) {
-        if (i)
-            os << ',';
-        jsonNode(os, n.children[i]);
-    }
-    os << "]}";
+    w.beginObject().key("name").string(n.name).key("kind").string(n.kind);
+    w.key("rows_in").integer(n.rowsIn).key("rows_out").integer(n.rowsOut);
+    w.key("selectivity").number(n.selectivity());
+    w.key("flash_bytes").integer(n.flashBytes);
+    w.key("switch_bytes").integer(n.switchBytes);
+    w.key("seconds").number(n.stages.total());
+    w.key("stage_seconds");
+    jsonStageSeconds(w, n.stages);
+    w.key("bottleneck").string(pipeStageName(n.stages.bottleneck()));
+    w.key("suspend_reason").string(suspendReasonName(n.suspend));
+    w.key("detail").string(n.detail);
+    w.key("children").beginArray();
+    for (const ProfileNode &c : n.children)
+        jsonNode(w, c);
+    w.endArray().endObject();
 }
 
 } // namespace
@@ -280,38 +269,17 @@ QueryProfile::textString() const
 }
 
 void
-QueryProfile::toJson(std::ostream &os) const
+QueryProfile::toJson(JsonWriter &w) const
 {
-    os << "{\"query\":\"" << jsonEscape(query) << '"';
-    os << ",\"offload_class\":\"" << jsonEscape(offloadClass) << '"';
-    os << ",\"suspend_reason\":\"" << suspendReasonName(suspend) << '"';
-    os << ",\"total_seconds\":" << jsonNumber(totalSeconds());
-    os << ",\"stage_seconds\":";
-    jsonStageSeconds(os, root.subtreeStages());
-    os << ",\"root\":";
-    jsonNode(os, root);
-    os << '}';
-}
-
-std::string
-QueryProfile::jsonString() const
-{
-    std::ostringstream os;
-    toJson(os);
-    return os.str();
-}
-
-std::size_t
-flightRecorderCapacityFromEnv(std::size_t fallback)
-{
-    const char *env = std::getenv("AQUOMAN_FLIGHT_EVENTS");
-    if (!env || !env[0])
-        return fallback;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0)
-        return fallback;
-    return static_cast<std::size_t>(v);
+    w.beginObject().key("query").string(query);
+    w.key("offload_class").string(offloadClass);
+    w.key("suspend_reason").string(suspendReasonName(suspend));
+    w.key("total_seconds").number(totalSeconds());
+    w.key("stage_seconds");
+    jsonStageSeconds(w, root.subtreeStages());
+    w.key("root");
+    jsonNode(w, root);
+    w.endObject();
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)

@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hh"
+
 namespace aquoman::obs {
 
 /**
@@ -146,7 +148,7 @@ struct ProfileNode
 /**
  * A full query's profile: the tree plus query-level classification.
  * Rendered as an aligned EXPLAIN ANALYZE text tree or as deterministic
- * JSON (stable key order, %.17g numbers) for report merging.
+ * JSON (stable key order) for report merging.
  */
 struct QueryProfile
 {
@@ -165,8 +167,7 @@ struct QueryProfile
     void renderText(std::ostream &os) const;
     std::string textString() const;
 
-    void toJson(std::ostream &os) const;
-    std::string jsonString() const;
+    void toJson(JsonWriter &w) const;
 };
 
 /**
@@ -188,13 +189,6 @@ struct FlightEvent
  * (and mirrored as trace instants) only when something goes wrong —
  * a suspension or an admission/allocation failure.
  */
-/**
- * Ring capacity for service flight recorders: AQUOMAN_FLIGHT_EVENTS
- * when set to a positive integer, else @p fallback. Values that fail
- * to parse (or are <= 0) fall back silently.
- */
-std::size_t flightRecorderCapacityFromEnv(std::size_t fallback = 256);
-
 class FlightRecorder
 {
   public:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -243,32 +242,30 @@ SloEngine::tenants() const
 }
 
 void
-SloEngine::toJson(std::ostream &os) const
+SloEngine::toJson(JsonWriter &w) const
 {
-    os << "{\"window_seconds\":" << jsonNumber(cfg.windowSec)
-       << ",\"horizon_seconds\":" << jsonNumber(horizonSec)
-       << ",\"tenants\":[";
-    bool firstTenant = true;
+    w.beginObject().key("window_seconds").number(cfg.windowSec);
+    w.key("horizon_seconds").number(horizonSec).key("tenants").beginArray();
     std::int64_t lastIdx = ts.lastWindow();
     for (const auto &tenant : tenants()) {
-        os << (firstTenant ? "" : ",") << "{\"name\":\""
-           << jsonEscape(tenant) << '"';
-        firstTenant = false;
+        w.beginObject().key("name").string(tenant);
         const SloObjective *obj = objectiveOf(tenant);
-        if (obj != nullptr)
-            os << ",\"objective\":{\"latency_target_seconds\":"
-               << jsonNumber(obj->latencyTargetSec) << ",\"attainment\":"
-               << jsonNumber(obj->attainment) << '}';
-        else
-            os << ",\"objective\":null";
+        w.key("objective");
+        if (obj != nullptr) {
+            w.beginObject();
+            w.key("latency_target_seconds").number(obj->latencyTargetSec);
+            w.key("attainment").number(obj->attainment).endObject();
+        } else {
+            w.null();
+        }
         TenantTotals t = totals(tenant);
-        os << ",\"totals\":{\"completed\":" << t.completed
-           << ",\"violations\":" << t.violations << ",\"shed\":" << t.shed
-           << ",\"suspended\":" << t.suspended << ",\"attainment\":"
-           << jsonNumber(t.attainment) << ",\"budget_consumed\":"
-           << jsonNumber(t.budgetConsumed) << '}';
-        os << ",\"windows\":[";
-        bool firstWin = true;
+        w.key("totals").beginObject();
+        w.key("completed").integer(t.completed);
+        w.key("violations").integer(t.violations);
+        w.key("shed").integer(t.shed).key("suspended").integer(t.suspended);
+        w.key("attainment").number(t.attainment);
+        w.key("budget_consumed").number(t.budgetConsumed).endObject();
+        w.key("windows").beginArray();
         double badCum = 0.0;
         double totalCum = 0.0;
         if (!ts.empty()) {
@@ -292,50 +289,39 @@ SloEngine::toJson(std::ostream &os) const
                     shed == 0.0 && suspended == 0.0 &&
                     lat.count() == 0 && qw.count() == 0)
                     continue;
-                os << (firstWin ? "" : ",") << "{\"window\":" << idx
-                   << ",\"start_seconds\":"
-                   << jsonNumber(ts.windowStartSec(idx))
-                   << ",\"completed\":" << jsonNumber(completed)
-                   << ",\"violations\":" << jsonNumber(violations)
-                   << ",\"shed\":" << jsonNumber(shed)
-                   << ",\"suspended\":" << jsonNumber(suspended)
-                   << ",\"latency\":";
-                lat.toJson(os);
-                os << ",\"queue_wait\":";
-                qw.toJson(os);
-                os << ",\"burn\":"
-                   << jsonNumber(burnOver(tenant, idx, idx));
+                w.beginObject().key("window").integer(idx);
+                w.key("start_seconds").number(ts.windowStartSec(idx));
+                w.key("completed").number(completed);
+                w.key("violations").number(violations);
+                w.key("shed").number(shed).key("suspended").number(suspended);
+                w.key("latency");
+                lat.toJson(w);
+                w.key("queue_wait");
+                qw.toJson(w);
+                w.key("burn").number(burnOver(tenant, idx, idx));
                 double budgetCum = 0.0;
                 if (obj != nullptr && totalCum > 0.0)
                     budgetCum =
                         badCum / (totalCum * (1.0 - obj->attainment));
-                os << ",\"budget_consumed\":" << jsonNumber(budgetCum)
-                   << '}';
-                firstWin = false;
+                w.key("budget_consumed").number(budgetCum).endObject();
             }
         }
-        os << "]}";
+        w.endArray().endObject();
     }
-    os << "],\"alerts\":[";
-    bool firstAlert = true;
+    w.endArray().key("alerts").beginArray();
     for (const auto &alert : firings) {
-        os << (firstAlert ? "" : ",") << "{\"tenant\":\""
-           << jsonEscape(alert.tenant) << "\",\"rule\":\""
-           << jsonEscape(alert.rule) << "\",\"at_seconds\":"
-           << jsonNumber(alert.atSec) << ",\"short_burn\":"
-           << jsonNumber(alert.shortBurn) << ",\"long_burn\":"
-           << jsonNumber(alert.longBurn) << '}';
-        firstAlert = false;
+        w.beginObject().key("tenant").string(alert.tenant);
+        w.key("rule").string(alert.rule).key("at_seconds").number(alert.atSec);
+        w.key("short_burn").number(alert.shortBurn);
+        w.key("long_burn").number(alert.longBurn).endObject();
     }
-    os << "]}";
+    w.endArray().endObject();
 }
 
 std::string
 SloEngine::jsonString() const
 {
-    std::ostringstream os;
-    toJson(os);
-    return os.str();
+    return obs::jsonString(*this);
 }
 
 } // namespace aquoman::obs

@@ -174,7 +174,7 @@ class SloEngine
     const TimeSeriesStore &store() const { return ts; }
 
     /**
-     * Deterministic timeline JSON (stable key order, %.17g numbers):
+     * Deterministic timeline JSON (stable key order):
      *   {"window_seconds":W, "horizon_seconds":H,
      *    "tenants":[{"name","objective","totals","windows":[...]}],
      *    "alerts":[...]}
@@ -182,7 +182,7 @@ class SloEngine
      * carry counts, p50/p90/p99 latency, the queue-wait histogram,
      * the single-window burn rate, and cumulative budget consumption.
      */
-    void toJson(std::ostream &os) const;
+    void toJson(JsonWriter &w) const;
     std::string jsonString() const;
 
   private:

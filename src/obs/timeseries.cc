@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -140,50 +139,30 @@ TimeSeriesStore::lastWindow() const
 }
 
 void
-TimeSeriesStore::toJson(std::ostream &os) const
+TimeSeriesStore::toJson(JsonWriter &w) const
 {
-    os << "{\"window_seconds\":" << jsonNumber(width);
-    os << ",\"counters\":{";
-    bool first_series = true;
-    for (const auto &[key, windows] : counters) {
-        os << (first_series ? "" : ",") << '"' << jsonEscape(key)
-           << "\":[";
-        first_series = false;
-        bool first_win = true;
-        for (const auto &[idx, v] : windows) {
-            os << (first_win ? "" : ",") << "{\"window\":" << idx
-               << ",\"start_seconds\":" << jsonNumber(windowStartSec(idx))
-               << ",\"value\":" << jsonNumber(v) << '}';
-            first_win = false;
+    // One layout for both kinds: series by key, windows ascending.
+    auto series = [&](const char *kind, const auto &all, auto value) {
+        w.key(kind).beginObject();
+        for (const auto &[key, windows] : all) {
+            w.key(key).beginArray();
+            for (const auto &[idx, v] : windows) {
+                w.beginObject().key("window").integer(idx);
+                w.key("start_seconds").number(windowStartSec(idx));
+                value(v);
+                w.endObject();
+            }
+            w.endArray();
         }
-        os << ']';
-    }
-    os << "},\"histograms\":{";
-    first_series = true;
-    for (const auto &[key, windows] : hists) {
-        os << (first_series ? "" : ",") << '"' << jsonEscape(key)
-           << "\":[";
-        first_series = false;
-        bool first_win = true;
-        for (const auto &[idx, h] : windows) {
-            os << (first_win ? "" : ",") << "{\"window\":" << idx
-               << ",\"start_seconds\":" << jsonNumber(windowStartSec(idx))
-               << ",\"histogram\":";
-            h.toJson(os);
-            os << '}';
-            first_win = false;
-        }
-        os << ']';
-    }
-    os << "}}";
-}
-
-std::string
-TimeSeriesStore::jsonString() const
-{
-    std::ostringstream os;
-    toJson(os);
-    return os.str();
+        w.endObject();
+    };
+    w.beginObject().key("window_seconds").number(width);
+    series("counters", counters, [&](double v) { w.key("value").number(v); });
+    series("histograms", hists, [&](const Histogram &h) {
+        w.key("histogram");
+        h.toJson(w);
+    });
+    w.endObject();
 }
 
 namespace {

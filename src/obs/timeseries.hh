@@ -91,10 +91,9 @@ class TimeSeriesStore
      *   {"window_seconds": W,
      *    "counters": {"key": [{"window":k,"start_seconds":..,"value":..}]},
      *    "histograms": {"key": [{"window":k,"start_seconds":..,
-     *                            <Histogram::toJson fields>}]}}
+     *                            "histogram":{<Histogram::toJson>}}]}}
      */
-    void toJson(std::ostream &os) const;
-    std::string jsonString() const;
+    void toJson(JsonWriter &w) const;
 
     /**
      * Prometheus text exposition with explicit millisecond timestamps

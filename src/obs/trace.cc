@@ -1,13 +1,11 @@
 #include "obs/trace.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 
-#include "obs/metrics.hh"
+#include "common/env_options.hh"
+#include "obs/json.hh"
 
 namespace aquoman::obs {
 
@@ -26,7 +24,7 @@ arg(const std::string &key, std::int64_t v)
 TraceArg
 arg(const std::string &key, const std::string &v)
 {
-    return {key, "\"" + jsonEscape(v) + "\""};
+    return {key, jsonString([&](JsonWriter &w) { w.string(v); })};
 }
 
 TraceArg
@@ -35,11 +33,9 @@ arg(const std::string &key, const char *v)
     return arg(key, std::string(v));
 }
 
-SimTracer::SimTracer()
+SimTracer::SimTracer() : envPath_(env::tracePath())
 {
-    const char *env = std::getenv("AQUOMAN_TRACE");
-    if (env && env[0]) {
-        envPath_ = env;
+    if (!envPath_.empty()) {
         on.store(true, std::memory_order_relaxed);
         std::atexit([] {
             SimTracer &t = SimTracer::global();
@@ -190,8 +186,8 @@ SimTracer::trackInfo(int track) const
     return tracks.at(static_cast<std::size_t>(track));
 }
 
-std::string
-SimTracer::toJson() const
+void
+SimTracer::toJson(JsonWriter &w) const
 {
     std::vector<TrackInfo> tr;
     std::vector<TraceEvent> evs;
@@ -243,68 +239,47 @@ SimTracer::toJson() const
                          return sort_key(a) < sort_key(b);
                      });
 
-    std::ostringstream os;
-    os << "{\"traceEvents\": [\n";
-    bool first = true;
-    auto sep = [&] {
-        os << (first ? "" : ",\n");
-        first = false;
-    };
+    w.beginObject().key("traceEvents").beginArray();
     // Metadata: process and thread names, in sorted (pid, tid) order.
-    for (const auto &[name, pid] : pids) {
-        sep();
-        os << "  {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": "
-           << pid << ", \"tid\": 0, \"args\": {\"name\": \""
-           << jsonEscape(name) << "\"}}";
-    }
-    for (const auto &[name, tid] : tids) {
-        sep();
-        os << "  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": "
-           << pids.at(name.first) << ", \"tid\": " << tid
-           << ", \"args\": {\"name\": \"" << jsonEscape(name.second)
-           << "\"}}";
-    }
+    auto meta = [&w](const char *what, int pid, int tid,
+                     const std::string &name) {
+        w.beginObject().key("ph").string("M").key("name").string(what);
+        w.key("pid").integer(pid).key("tid").integer(tid);
+        w.key("args").beginObject().key("name").string(name);
+        w.endObject().endObject();
+    };
+    for (const auto &[name, pid] : pids)
+        meta("process_name", pid, 0, name);
+    for (const auto &[name, tid] : tids)
+        meta("thread_name", pids.at(name.first), tid, name.second);
     for (std::size_t i : order) {
         const TraceEvent &ev = evs[i];
         const TrackInfo &t =
             tr[static_cast<std::size_t>(ev.track)];
-        sep();
-        os << "  {\"ph\": \"" << ev.phase << "\", \"name\": \""
-           << jsonEscape(ev.name) << "\", \"cat\": \""
-           << jsonEscape(ev.category) << "\", \"pid\": "
-           << pids.at(t.process) << ", \"tid\": "
-           << tids.at({t.process, t.thread}) << ", \"ts\": "
-           << jsonNumber(ev.tsSec * 1e6);
+        w.beginObject().key("ph").string(std::string_view(&ev.phase, 1));
+        w.key("name").string(ev.name).key("cat").string(ev.category);
+        w.key("pid").integer(pids.at(t.process));
+        w.key("tid").integer(tids.at({t.process, t.thread}));
+        w.key("ts").number(ev.tsSec * 1e6);
         if (ev.phase == 'X')
-            os << ", \"dur\": "
-               << jsonNumber((ev.endSec - ev.tsSec) * 1e6);
+            w.key("dur").number((ev.endSec - ev.tsSec) * 1e6);
         if (ev.phase == 'i')
-            os << ", \"s\": \"t\"";
+            w.key("s").string("t");
         if (!ev.args.empty()) {
-            os << ", \"args\": {";
-            for (std::size_t a = 0; a < ev.args.size(); ++a) {
-                os << (a ? ", " : "") << '"'
-                   << jsonEscape(ev.args[a].key)
-                   << "\": " << ev.args[a].json;
-            }
-            os << "}";
+            w.key("args").beginObject();
+            for (const TraceArg &a : ev.args)
+                w.key(a.key).raw(a.json);
+            w.endObject();
         }
-        os << "}";
+        w.endObject();
     }
-    os << "\n]}\n";
-    return os.str();
+    w.endArray().endObject();
 }
 
 bool
 SimTracer::writeJson(const std::string &path) const
 {
-    std::ofstream f(path);
-    if (!f) {
-        std::fprintf(stderr, "cannot write trace %s\n", path.c_str());
-        return false;
-    }
-    f << toJson();
-    return true;
+    return writeJsonFile(path, [this](JsonWriter &w) { toJson(w); });
 }
 
 void

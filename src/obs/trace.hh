@@ -29,6 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.hh"
+
 namespace aquoman::obs {
 
 /** One span argument: key plus a pre-rendered JSON value token. */
@@ -128,9 +130,9 @@ class SimTracer
      * tracks sort by (process, thread) name and events by track, with
      * per-track recording order preserved.
      */
-    std::string toJson() const;
+    void toJson(JsonWriter &w) const;
 
-    /** Write toJson() to @p path; false (with a message) on failure. */
+    /** Write the trace to @p path; false (with a message) on failure. */
     bool writeJson(const std::string &path) const;
 
     /** Path from AQUOMAN_TRACE ("" when unset). */

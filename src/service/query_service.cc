@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "aquoman/query_profile.hh"
+#include "common/env_options.hh"
 #include "engine/executor.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -1055,7 +1056,7 @@ struct QueryService::Impl
         events;
     std::function<void(const QueryRecord &)> onComplete;
 
-    obs::FlightRecorder flight{obs::flightRecorderCapacityFromEnv(256)};
+    obs::FlightRecorder flight{env::flightEvents().value_or(256)};
     std::string lastDump;
     std::int64_t flightDumpCount = 0;
     std::int64_t lastDumpedSeq = -1;
@@ -1196,20 +1197,6 @@ QueryService::sloEngine() const
     return impl->slo;
 }
 
-namespace {
-
-double
-percentileOf(std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    auto idx = static_cast<std::size_t>(
-        std::ceil(p * static_cast<double>(sorted.size()))) - 1;
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-} // namespace
-
 ServiceStats
 QueryService::aggregate() const
 {
@@ -1284,9 +1271,9 @@ QueryService::aggregate() const
         ? static_cast<double>(s.completed) / s.makespanSec : 0.0;
 
     std::sort(lat.begin(), lat.end());
-    s.p50LatencySec = percentileOf(lat, 0.50);
-    s.p95LatencySec = percentileOf(lat, 0.95);
-    s.p99LatencySec = percentileOf(lat, 0.99);
+    s.p50LatencySec = obs::percentile(lat, 0.50);
+    s.p95LatencySec = obs::percentile(lat, 0.95);
+    s.p99LatencySec = obs::percentile(lat, 0.99);
 
     for (std::size_t ti = 0; ti < s.tenants.size(); ++ti) {
         TenantStats &ts = s.tenants[ti];
@@ -1296,9 +1283,9 @@ QueryService::aggregate() const
         if (ts.completed > 0)
             ts.meanQueueWaitSec /= static_cast<double>(ts.completed);
         std::sort(tenant_lat[ti].begin(), tenant_lat[ti].end());
-        ts.p50LatencySec = percentileOf(tenant_lat[ti], 0.50);
-        ts.p90LatencySec = percentileOf(tenant_lat[ti], 0.90);
-        ts.p99LatencySec = percentileOf(tenant_lat[ti], 0.99);
+        ts.p50LatencySec = obs::percentile(tenant_lat[ti], 0.50);
+        ts.p90LatencySec = obs::percentile(tenant_lat[ti], 0.90);
+        ts.p99LatencySec = obs::percentile(tenant_lat[ti], 0.99);
         ts.goodputQps = s.makespanSec > 0.0
             ? static_cast<double>(ts.withinSlo) / s.makespanSec : 0.0;
     }

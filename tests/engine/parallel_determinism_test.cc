@@ -8,11 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string_view>
 #include <vector>
 
 #include "common/batch_mode.hh"
+#include "common/env_options.hh"
 #include "common/thread_pool.hh"
 #include "engine/executor.hh"
 #include "tpch/dbgen.hh"
@@ -121,9 +120,7 @@ class ParallelDeterminism : public ::testing::Test
         ThreadPool::setGlobalParallelism(
             ThreadPool::configuredParallelism());
         // Restore whatever AQUOMAN_BATCH asked for, even on failure.
-        const char *env = std::getenv("AQUOMAN_BATCH");
-        setBatchExecutionEnabled(env == nullptr
-                                 || std::string_view(env) != "0");
+        setBatchExecutionEnabled(env::batch());
     }
 };
 

@@ -1,6 +1,7 @@
 /** @file
  * Unit tests of the metric building blocks: log-bucketed histogram
- * accuracy and order-independence, its JSON rendering, and labeled
+ * accuracy and order-independence, its JSON rendering, the
+ * nearest-rank percentile, and labeled
  * series keys. The Prometheus exposition is tested with its one
  * renderer in timeseries_test.cc.
  */
@@ -8,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,14 +16,6 @@
 
 namespace aquoman::obs {
 namespace {
-
-std::string
-histJson(const Histogram &h)
-{
-    std::ostringstream os;
-    h.toJson(os);
-    return os.str();
-}
 
 TEST(HistogramTest, EmptyHistogramIsAllZero)
 {
@@ -113,9 +105,9 @@ TEST(HistogramTest, MergeIsOrderIndependent)
     merged_ab.merge(part_b);
     merged_ba.merge(part_b);
     merged_ba.merge(part_a);
-    EXPECT_EQ(histJson(fwd), histJson(rev));
-    EXPECT_EQ(histJson(fwd), histJson(merged_ab));
-    EXPECT_EQ(histJson(fwd), histJson(merged_ba));
+    EXPECT_EQ(jsonString(fwd), jsonString(rev));
+    EXPECT_EQ(jsonString(fwd), jsonString(merged_ab));
+    EXPECT_EQ(jsonString(fwd), jsonString(merged_ba));
 }
 
 TEST(HistogramTest, JsonContainsAllFields)
@@ -123,12 +115,30 @@ TEST(HistogramTest, JsonContainsAllFields)
     Histogram h;
     h.record(2.0);
     h.record(4.0);
-    std::string js = histJson(h);
+    std::string js = jsonString(h);
+    JsonValue v;
+    std::string error;
+    ASSERT_TRUE(parseJson(js, &v, &error)) << error << ": " << js;
     for (const char *key :
-         {"\"count\"", "\"sum\"", "\"min\"", "\"max\"", "\"mean\"",
-          "\"p50\"", "\"p90\"", "\"p99\""})
-        EXPECT_NE(js.find(key), std::string::npos) << js;
-    EXPECT_NE(js.find("\"count\": 2"), std::string::npos) << js;
+         {"count", "sum", "min", "max", "mean", "p50", "p90", "p99"})
+        EXPECT_EQ(v.at(key).kind, JsonValue::Kind::Number) << key << js;
+    EXPECT_EQ(v.num("count"), 2.0) << js;
+}
+
+TEST(PercentileTest, NearestRank)
+{
+    EXPECT_EQ(percentile({}, 0.5), 0.0);
+    std::vector<double> one{7.0};
+    EXPECT_EQ(percentile(one, 0.01), 7.0);
+    EXPECT_EQ(percentile(one, 0.99), 7.0);
+    // The ceil(p*n)-th smallest: 0.5 * 4 = 2 -> 2nd; 0.99 * 4 -> 4th;
+    // 0.26 * 4 = 1.04 -> 2nd.
+    std::vector<double> four{1.0, 2.0, 3.0, 4.0};
+    EXPECT_EQ(percentile(four, 0.50), 2.0);
+    EXPECT_EQ(percentile(four, 0.26), 2.0);
+    EXPECT_EQ(percentile(four, 0.25), 1.0);
+    EXPECT_EQ(percentile(four, 0.99), 4.0);
+    EXPECT_EQ(percentile(four, 1.0), 4.0);
 }
 
 TEST(LabeledMetricTest, BuildsEscapedKey)

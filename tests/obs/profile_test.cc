@@ -13,15 +13,18 @@
 #include <functional>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "aquoman/device.hh"
 #include "aquoman/query_profile.hh"
 #include "common/batch_mode.hh"
+#include "common/env_options.hh"
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "engine/host_model.hh"
+#include "obs/json.hh"
 #include "obs/profile.hh"
+#include "service/query_service.hh"
 #include "tpch/dbgen.hh"
 #include "tpch/queries.hh"
 
@@ -144,9 +147,7 @@ class ProfileDeterminism : public ::testing::Test
         ThreadPool::setGlobalParallelism(
             ThreadPool::configuredParallelism());
         // Restore whatever AQUOMAN_BATCH asked for, even on failure.
-        const char *env = std::getenv("AQUOMAN_BATCH");
-        setBatchExecutionEnabled(env == nullptr
-                                 || std::string_view(env) != "0");
+        setBatchExecutionEnabled(env::batch());
     }
 };
 
@@ -175,7 +176,7 @@ TEST_F(ProfileDeterminism, JsonIdenticalAcrossThreadsAndBatchMode)
                 ThreadPool::setGlobalParallelism(threads);
                 setBatchExecutionEnabled(batch);
                 RunArtifacts run = runQuery(q);
-                renders.push_back(run.profile.jsonString());
+                renders.push_back(obs::jsonString(run.profile));
                 rows.push_back(renderRows(run.result.result));
             }
         }
@@ -250,12 +251,15 @@ TEST(ProfileRender, TextTreeCarriesHeaderAndBottlenecks)
 TEST(ProfileRender, JsonStageSecondsUseStableKeys)
 {
     RunArtifacts run = runQuery(6);
-    std::string json = run.profile.jsonString();
-    EXPECT_NE(json.find("\"query\":\"q6\""), std::string::npos);
-    EXPECT_NE(json.find("\"stage_seconds\""), std::string::npos);
-    EXPECT_NE(json.find("\"flash_read\""), std::string::npos);
-    EXPECT_NE(json.find("\"offload_class\":\"full\""),
-              std::string::npos);
+    std::string json = obs::jsonString(run.profile);
+    obs::JsonValue v;
+    std::string error;
+    ASSERT_TRUE(obs::parseJson(json, &v, &error)) << error;
+    EXPECT_EQ(v.text("query"), "q6");
+    EXPECT_EQ(v.at("stage_seconds").kind, obs::JsonValue::Kind::Object);
+    EXPECT_EQ(v.at("stage_seconds").at("flash_read").kind,
+              obs::JsonValue::Kind::Number);
+    EXPECT_EQ(v.text("offload_class"), "full");
 }
 
 // ---------------------------------------------------------------------
@@ -330,24 +334,42 @@ TEST(FlightRecorder, OverwriteAccountingAcrossCapacities)
 
 TEST(FlightRecorder, CapacityFromEnv)
 {
+    // A service sizes its ring from AQUOMAN_FLIGHT_EVENTS (default 256).
+    auto capacity = [] {
+        service::QueryService svc(service::ServiceConfig{});
+        return svc.flightRecorder().capacityEvents();
+    };
     // Helper for restoring whatever AQUOMAN_FLIGHT_EVENTS held.
     const char *old = std::getenv("AQUOMAN_FLIGHT_EVENTS");
     std::string saved = old ? old : "";
 
     unsetenv("AQUOMAN_FLIGHT_EVENTS");
-    EXPECT_EQ(obs::flightRecorderCapacityFromEnv(256), 256u);
-    EXPECT_EQ(obs::flightRecorderCapacityFromEnv(32), 32u);
+    EXPECT_EQ(capacity(), 256u);
 
     setenv("AQUOMAN_FLIGHT_EVENTS", "4096", 1);
-    EXPECT_EQ(obs::flightRecorderCapacityFromEnv(256), 4096u);
+    EXPECT_EQ(capacity(), 4096u);
     setenv("AQUOMAN_FLIGHT_EVENTS", "1", 1);
-    EXPECT_EQ(obs::flightRecorderCapacityFromEnv(256), 1u);
+    EXPECT_EQ(capacity(), 1u);
 
-    // Garbage, trailing junk, zero and negatives fall back.
-    for (const char *bad : {"abc", "12x", "0", "-5", ""}) {
+    // An empty value means unset.
+    setenv("AQUOMAN_FLIGHT_EVENTS", "", 1);
+    EXPECT_EQ(capacity(), 256u);
+
+    // Garbage, trailing junk, zero and negatives fail loudly, naming
+    // the variable and the value.
+    for (const char *bad : {"abc", "12x", "0", "-5"}) {
         setenv("AQUOMAN_FLIGHT_EVENTS", bad, 1);
-        EXPECT_EQ(obs::flightRecorderCapacityFromEnv(256), 256u)
-            << "value '" << bad << "'";
+        try {
+            capacity();
+            ADD_FAILURE() << "value '" << bad << "' was accepted";
+        } catch (const FatalError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find("AQUOMAN_FLIGHT_EVENTS"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find(std::string("'") + bad + "'"),
+                      std::string::npos)
+                << msg;
+        }
     }
 
     if (old)

@@ -16,11 +16,21 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/timeseries.hh"
 
 namespace aquoman::obs {
 namespace {
+
+JsonValue
+parsed(const std::string &json)
+{
+    JsonValue v;
+    std::string error;
+    EXPECT_TRUE(parseJson(json, &v, &error)) << error << ": " << json;
+    return v;
+}
 
 TEST(TimeSeriesStore, WindowIndexing)
 {
@@ -116,9 +126,9 @@ TEST(TimeSeriesStore, MergeIsOrderIndependent)
     for (auto it = shards.rbegin(); it != shards.rend(); ++it)
         rev.merge(*it);
 
-    EXPECT_EQ(direct.jsonString(), fwd.jsonString());
-    EXPECT_EQ(direct.jsonString(), rev.jsonString());
-    EXPECT_EQ(direct.jsonString(), direct.jsonString());
+    EXPECT_EQ(jsonString(direct), jsonString(fwd));
+    EXPECT_EQ(jsonString(direct), jsonString(rev));
+    EXPECT_EQ(jsonString(direct), jsonString(direct));
 }
 
 TEST(HistogramMerge, OrderIndependenceFuzz)
@@ -159,10 +169,7 @@ TEST(HistogramMerge, OrderIndependenceFuzz)
                     << "round " << round << " q " << q;
         }
 
-        std::ostringstream a, b;
-        direct.toJson(a);
-        fwd.toJson(b);
-        EXPECT_EQ(a.str(), b.str()) << "round " << round;
+        EXPECT_EQ(jsonString(direct), jsonString(fwd)) << "round " << round;
     }
 }
 
@@ -204,11 +211,15 @@ TEST(TimeSeriesStore, JsonShapeAndClear)
     TimeSeriesStore ts(2.0);
     ts.add("c", 1.0, 5.0);
     ts.observe("h", 3.0, 1.5);
-    std::string j = ts.jsonString();
-    EXPECT_NE(j.find("\"window_seconds\":2"), std::string::npos) << j;
-    EXPECT_NE(j.find("\"counters\""), std::string::npos) << j;
-    EXPECT_NE(j.find("\"histograms\""), std::string::npos) << j;
-    EXPECT_NE(j.find("\"start_seconds\":2"), std::string::npos) << j;
+    std::string j = jsonString(ts);
+    JsonValue v = parsed(j);
+    EXPECT_EQ(v.num("window_seconds"), 2.0) << j;
+    EXPECT_EQ(v.at("counters").kind, JsonValue::Kind::Object) << j;
+    EXPECT_EQ(v.at("histograms").kind, JsonValue::Kind::Object) << j;
+    // The histogram sample at t=3 lands in window 1, starting at 2 s.
+    const JsonValue &h = v.at("histograms").at("h");
+    ASSERT_EQ(h.array.size(), 1u) << j;
+    EXPECT_EQ(h.array[0].num("start_seconds"), 2.0) << j;
     ts.clear();
     EXPECT_TRUE(ts.empty());
     EXPECT_EQ(ts.lastWindow(), -1);
@@ -220,10 +231,14 @@ TEST(TimeSeriesStore, JsonSeriesAreSortedByKey)
     ts.add("zeta", 0.0, 1.0);
     ts.add("alpha", 0.0, 2.0);
     ts.observe("lat", 0.0, 0.25);
-    std::string js = ts.jsonString();
+    std::string js = jsonString(ts);
+    JsonValue v = parsed(js);
     // std::map iteration: "alpha" precedes "zeta" in the output.
-    EXPECT_LT(js.find("\"alpha\""), js.find("\"zeta\"")) << js;
-    EXPECT_NE(js.find("\"lat\""), std::string::npos) << js;
+    const JsonValue &counters = v.at("counters");
+    ASSERT_EQ(counters.object.size(), 2u) << js;
+    EXPECT_EQ(counters.object[0].first, "alpha") << js;
+    EXPECT_EQ(counters.object[1].first, "zeta") << js;
+    EXPECT_NE(v.at("histograms").find("lat"), nullptr) << js;
 }
 
 std::string

@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "aquoman/device.hh"
 #include "common/thread_pool.hh"
+#include "obs/json.hh"
 #include "obs/trace.hh"
 #include "service/query_service.hh"
 #include "tpch/dbgen.hh"
@@ -90,13 +92,13 @@ TEST_F(TraceTest, ServiceTraceIsByteIdenticalAcrossThreadCounts)
 {
     ThreadPool::setGlobalParallelism(1);
     runServiceWorkload();
-    std::string serial = SimTracer::global().toJson();
+    std::string serial = jsonString(SimTracer::global());
     ASSERT_GT(SimTracer::global().eventCount(), 0u);
 
     SimTracer::global().clear();
     ThreadPool::setGlobalParallelism(4);
     runServiceWorkload();
-    std::string parallel = SimTracer::global().toJson();
+    std::string parallel = jsonString(SimTracer::global());
 
     EXPECT_EQ(serial, parallel)
         << "trace JSON must not depend on AQUOMAN_THREADS";
@@ -192,12 +194,19 @@ TEST_F(TraceTest, ServiceTraceCoversDevicesAndTasks)
     EXPECT_EQ(done_instants, static_cast<int>(ids.size()));
 
     // The export is structurally a Chrome trace_event JSON document.
-    std::string js = tracer.toJson();
-    EXPECT_EQ(js.rfind("{\"traceEvents\": [", 0), 0u) << js.substr(0, 60);
-    EXPECT_NE(js.find("\"ph\": \"M\""), std::string::npos);
-    EXPECT_NE(js.find("process_name"), std::string::npos);
-    EXPECT_NE(js.find("thread_name"), std::string::npos);
-    EXPECT_EQ(js.substr(js.size() - 3), "]}\n");
+    std::string js = jsonString(tracer);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(js, &doc, &error)) << error;
+    ASSERT_EQ(doc.object.size(), 1u);
+    const JsonValue &trace_events = doc.at("traceEvents");
+    ASSERT_EQ(trace_events.kind, JsonValue::Kind::Array);
+    std::set<std::string> metadata;
+    for (const JsonValue &ev : trace_events.array)
+        if (ev.text("ph") == "M")
+            metadata.insert(ev.text("name"));
+    EXPECT_EQ(metadata,
+              (std::set<std::string>{"process_name", "thread_name"}));
 }
 
 // ---------------------------------------------------------------------
@@ -249,7 +258,7 @@ TEST_F(TraceTest, ResolveGroupDropsOrKeeps)
         EXPECT_NE(ev.group, 1) << ev.name;
 
     // The exported JSON must not mention the dropped group's events.
-    std::string json = tracer.toJson();
+    std::string json = jsonString(tracer);
     EXPECT_EQ(json.find("work1"), std::string::npos);
     EXPECT_NE(json.find("work0"), std::string::npos);
     EXPECT_NE(json.find("work2"), std::string::npos);
@@ -270,7 +279,7 @@ TEST_F(TraceTest, DroppedTrackVanishesFromExport)
 
     // A track whose every event was sampled away contributes zero
     // bytes — not even pid/tid metadata.
-    std::string json = tracer.toJson();
+    std::string json = jsonString(tracer);
     EXPECT_EQ(json.find("q-dropped"), std::string::npos) << json;
     EXPECT_NE(json.find("q-kept"), std::string::npos);
 }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "obs/json.hh"
 #include "obs/trace.hh"
 #include "service/query_service.hh"
 #include "tpch/dbgen.hh"
@@ -88,7 +89,7 @@ runWorkload(int sample_n)
     RunResult out;
     out.sloJson = svc.sloEngine().jsonString();
     obs::SimTracer &tracer = obs::SimTracer::global();
-    out.traceJson = tracer.toJson();
+    out.traceJson = obs::jsonString(tracer);
     for (const obs::TraceEvent &ev : tracer.events())
         if (ev.group >= 0)
             out.groupsInTrace.insert(ev.group);

@@ -21,13 +21,12 @@
 
 #include "common/batch_mode.hh"
 #include "common/thread_pool.hh"
+#include "obs/json.hh"
 #include "obs/latency_anatomy.hh"
 #include "obs/trace.hh"
 #include "service/query_service.hh"
 #include "tpch/dbgen.hh"
 #include "tpch/queries.hh"
-
-#include "../../tools/report_core.hh"
 
 namespace aquoman::service {
 namespace {
@@ -413,30 +412,30 @@ TEST_F(WaitLedgerTest, EmptyServiceRunExportsCleanly)
 
     // The SLO timeline must still be valid JSON with zero rollups.
     std::string slo = svc.sloEngine().jsonString();
-    tools::JsonValue root;
+    obs::JsonValue root;
     std::string error;
-    ASSERT_TRUE(tools::parseJson(slo, &root, &error)) << error;
-    const tools::JsonValue *tenants = root.find("tenants");
+    ASSERT_TRUE(obs::parseJson(slo, &root, &error)) << error;
+    const obs::JsonValue *tenants = root.find("tenants");
     ASSERT_NE(tenants, nullptr);
     EXPECT_EQ(tenants->array.size(), 2u);
-    for (const tools::JsonValue &t : tenants->array) {
-        const tools::JsonValue *windows = t.find("windows");
+    for (const obs::JsonValue &t : tenants->array) {
+        const obs::JsonValue *windows = t.find("windows");
         ASSERT_NE(windows, nullptr);
         EXPECT_TRUE(windows->array.empty());
-        const tools::JsonValue *totals = t.find("totals");
+        const obs::JsonValue *totals = t.find("totals");
         ASSERT_NE(totals, nullptr);
         EXPECT_EQ(totals->find("completed")->number, 0.0);
     }
-    const tools::JsonValue *alerts = root.find("alerts");
+    const obs::JsonValue *alerts = root.find("alerts");
     ASSERT_NE(alerts, nullptr);
     EXPECT_TRUE(alerts->array.empty());
 
     // No queries ran, so the enabled tracer holds zero spans and its
     // export is still valid JSON.
     EXPECT_EQ(obs::SimTracer::global().eventCount(), 0u);
-    std::string trace = obs::SimTracer::global().toJson();
-    tools::JsonValue troot;
-    EXPECT_TRUE(tools::parseJson(trace, &troot, &error)) << error;
+    std::string trace = obs::jsonString(obs::SimTracer::global());
+    obs::JsonValue troot;
+    EXPECT_TRUE(obs::parseJson(trace, &troot, &error)) << error;
 }
 
 } // namespace

@@ -6,9 +6,8 @@
  * be named), candidate-only records surfacing as notes, modelled-field
  * drift detection, and the matched==0 fatal path.
  *
- * JSON reader: hostile inputs (trailing text, non-JSON numbers, deep
- * nesting, truncation, unterminated strings, bad literals) fail with an
- * error naming the file and the fault.
+ * Report reader: a record keeps only its numeric members. (The JSON
+ * reader's own hostile-input tests live in tests/obs/json_test.cc.)
  *
  * Structural diff: the exact wording for missing members (with side),
  * type mismatches, array lengths and the tolerance threshold.
@@ -230,7 +229,7 @@ TEST(BenchDiff, RecordKeyComposition)
 }
 
 // ---------------------------------------------------------------------
-// JSON reader
+// Report reader
 // ---------------------------------------------------------------------
 
 std::string
@@ -239,98 +238,6 @@ writeTemp(const std::string &name, const std::string &text)
     std::string path = testing::TempDir() + name;
     std::ofstream(path, std::ios::binary) << text;
     return path;
-}
-
-struct HostileCase
-{
-    const char *name;
-    std::string text;
-    const char *fault;
-};
-
-TEST(JsonReader, HostileReportsFailNamingFileAndFault)
-{
-    const std::vector<HostileCase> cases = {
-        {"trailing_text", R"({"a":1} trailing)",
-         "trailing characters after the root value at offset 8"},
-        {"trailing_after_records",
-         R"({"records":[{"query":1,"modelled_x":2}]} junk)",
-         "trailing characters after the root value"},
-        {"infinity", R"({"records":[{"query":infinity}]})",
-         "unexpected character 'i' at offset 21"},
-        {"hex_number", R"({"records":[{"query":0x10}]})",
-         "malformed number at offset 21"},
-        {"leading_zero", R"({"records":[{"query":010}]})",
-         "malformed number"},
-        {"bare_exponent", R"({"records":[{"query":1e}]})",
-         "malformed number"},
-        {"deep_nesting", std::string(200000, '['),
-         "nesting deeper than 512 levels at offset 512"},
-        {"truncated", R"({"records":[{"query":1)",
-         "unexpected end of input"},
-        {"unterminated_string", R"({"records":[{"query)",
-         "unterminated string"},
-        {"bad_literal", R"({"records":[{"ok":tru}]})", "bad literal"},
-        {"run_on_literal", R"({"records":[{"ok":truex}]})", "bad literal"},
-        {"bad_escape", R"({"records":[{"q\x":1}]})", "bad escape"},
-        {"empty", "", "unexpected end of input at offset 0"},
-    };
-    for (const HostileCase &c : cases) {
-        std::string path = writeTemp(std::string("hostile_") + c.name
-                                         + ".json",
-                                     c.text);
-        std::vector<Record> records;
-        std::string error;
-        EXPECT_FALSE(parseReport(path, &records, &error)) << c.name;
-        EXPECT_NE(error.find(path + ": "), std::string::npos)
-            << c.name << ": " << error;
-        EXPECT_NE(error.find(c.fault), std::string::npos)
-            << c.name << ": " << error;
-    }
-}
-
-TEST(JsonReader, NestingCapIsExact)
-{
-    JsonValue v;
-    std::string error;
-    std::string ok = std::string(kMaxJsonDepth, '[')
-        + std::string(kMaxJsonDepth, ']');
-    EXPECT_TRUE(parseJson(ok, &v, &error)) << error;
-    std::string deep = std::string(kMaxJsonDepth + 1, '[')
-        + std::string(kMaxJsonDepth + 1, ']');
-    EXPECT_FALSE(parseJson(deep, &v, &error));
-}
-
-TEST(JsonReader, ParsesValidDocuments)
-{
-    JsonValue v;
-    std::string error;
-    ASSERT_TRUE(parseJson(
-        R"( {"n":-0.5e+2,"z":0,"s":"a\"b\\cA\n","t":true,)"
-        R"("f":false,"x":null,"a":[1,[2,{}]],"o":{"k":[]}} )",
-        &v, &error))
-        << error;
-    EXPECT_EQ(v.num("n"), -50.0);
-    EXPECT_EQ(v.num("z", 1.0), 0.0);
-    EXPECT_EQ(v.text("s"), "a\"b\\cA\n");
-    EXPECT_TRUE(v.at("t").boolean);
-    EXPECT_EQ(v.at("f").kind, JsonValue::Kind::Bool);
-    EXPECT_EQ(v.at("x").kind, JsonValue::Kind::Null);
-    EXPECT_EQ(v.at("a").array.size(), 2u);
-    EXPECT_EQ(v.at("missing").kind, JsonValue::Kind::Null);
-    EXPECT_EQ(v.text("missing"), "?");
-}
-
-TEST(JsonReader, NumberGrammarIsJsonOnly)
-{
-    double v = 0.0;
-    for (const char *good : {"0", "10", "-0.5", "1e-3", "2.5E+4"})
-        EXPECT_TRUE(parseJsonNumber(good, &v)) << good;
-    EXPECT_TRUE(parseJsonNumber("2.5E+4", &v));
-    EXPECT_EQ(v, 25000.0);
-    for (const char *bad : {"", "abc", "inf", "nan", "0x10", "1e", "1.",
-                            ".5", "+1", "01", "1 ", "5%", "1e999"})
-        EXPECT_FALSE(parseJsonNumber(bad, &v)) << bad;
 }
 
 TEST(JsonReader, ReportRecordsKeepOnlyNumericMembers)

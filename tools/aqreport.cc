@@ -70,20 +70,20 @@
 
 #include "report_core.hh"
 
-#include <climits>
 #include <cstdio>
-#include <fstream>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
+#include "obs/cli_args.hh"
 #include "obs/latency_anatomy.hh"
 #include "obs/metrics.hh"
 
 using namespace aquoman;
 using namespace aquoman::tools;
+using obs::Args;
 using obs::jsonNumber;
 using obs::kNumWaitClasses;
+using obs::percentile;
 
 namespace {
 
@@ -113,69 +113,6 @@ usage(const std::string &msg)
     return 2;
 }
 
-/** One subcommand's command line: paths, flag values, first error. */
-struct Args
-{
-    std::vector<std::string> paths;
-    std::map<std::string, std::string> values;
-    bool verbose = false;
-    std::string error;
-
-    /** @p flag as a number, which must parse completely. */
-    double
-    number(const std::string &flag, double fallback)
-    {
-        double v = fallback;
-        if (values.count(flag) && !parseJsonNumber(values[flag], &v)
-            && error.empty())
-            error = flag + " expects a number, got '" + values[flag] + "'";
-        return v;
-    }
-
-    /** @p flag as a non-negative integer. */
-    int
-    count(const std::string &flag, int fallback)
-    {
-        double v = number(flag, fallback);
-        if (v >= 0.0 && v <= INT_MAX && v == std::floor(v))
-            return static_cast<int>(v);
-        if (error.empty())
-            error = flag + " expects a non-negative integer, got '"
-                + values[flag] + "'";
-        return fallback;
-    }
-};
-
-/**
- * Split argv[2..] into paths and flags. Each of @p valueFlags takes
- * the next argument; "--verbose" is a switch when @p verboseOk; any
- * other "--" argument is unknown. Exactly @p npaths paths must remain.
- */
-Args
-parseArgs(int argc, char **argv, std::initializer_list<std::string> valueFlags,
-          bool verboseOk, std::size_t npaths)
-{
-    Args a;
-    for (int i = 2; i < argc && a.error.empty(); ++i) {
-        std::string s = argv[i];
-        if (s.rfind("--", 0) != 0)
-            a.paths.push_back(s);
-        else if (verboseOk && s == "--verbose")
-            a.verbose = true;
-        else if (std::find(valueFlags.begin(), valueFlags.end(), s)
-                 == valueFlags.end())
-            a.error = "unknown flag " + s;
-        else if (i + 1 == argc)
-            a.error = s + " needs a value";
-        else
-            a.values[s] = argv[++i];
-    }
-    if (a.error.empty() && a.paths.size() != npaths)
-        a.error = "expected " + std::to_string(npaths)
-            + " file argument(s), got " + std::to_string(a.paths.size());
-    return a;
-}
-
 /** Parse @p path into @p root, which must carry a "runs" array. */
 bool
 loadRuns(const std::string &path, JsonValue *root)
@@ -197,17 +134,17 @@ loadRuns(const std::string &path, JsonValue *root)
 int
 gate(int argc, char **argv)
 {
-    Args a = parseArgs(argc, argv,
-                       {"--wall-threshold-pct", "--model-tolerance",
-                        "--flash-bytes-threshold-pct"},
-                       true, 2);
+    Args a = obs::parseArgs(argc, argv, 2,
+                            {"--wall-threshold-pct", "--model-tolerance",
+                             "--flash-bytes-threshold-pct"},
+                            {"--verbose"}, 2);
     DiffOptions opt;
     opt.wallThresholdPct =
         a.number("--wall-threshold-pct", opt.wallThresholdPct);
     opt.modelTolerance = a.number("--model-tolerance", opt.modelTolerance);
     opt.flashThresholdPct =
         a.number("--flash-bytes-threshold-pct", opt.flashThresholdPct);
-    opt.verbose = a.verbose;
+    opt.verbose = a.has("--verbose");
     if (!a.error.empty())
         return usage(a.error);
 
@@ -246,7 +183,7 @@ gate(int argc, char **argv)
 int
 diff(int argc, char **argv)
 {
-    Args a = parseArgs(argc, argv, {"--tolerance"}, false, 2);
+    Args a = obs::parseArgs(argc, argv, 2, {"--tolerance"}, {}, 2);
     double tolerance = a.number("--tolerance", 0.0);
     if (!a.error.empty())
         return usage(a.error);
@@ -337,7 +274,7 @@ printSloRun(const JsonValue &run)
 int
 slo(int argc, char **argv)
 {
-    Args a = parseArgs(argc, argv, {}, false, 1);
+    Args a = obs::parseArgs(argc, argv, 2, {}, {}, 1);
     if (!a.error.empty())
         return usage(a.error);
     JsonValue root;
@@ -361,17 +298,6 @@ className(int i)
     return obs::waitClassName(static_cast<obs::WaitClass>(i));
 }
 
-/** Same nearest-rank percentile the service and bench use. */
-double
-percentileOf(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    auto idx = static_cast<std::size_t>(
-        std::ceil(p * static_cast<double>(sorted.size()))) - 1;
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 /** One parsed query of a run. */
 struct QueryRow
 {
@@ -380,7 +306,7 @@ struct QueryRow
     double tenant = 0.0;
     double latency = 0.0;
     bool shed = false;
-    double wait[kNumWaitClasses] = {};
+    obs::WaitLedger wait;
     const JsonValue *path = nullptr;
 };
 
@@ -388,8 +314,7 @@ struct QueryRow
 const char *
 dominantClass(const QueryRow &q)
 {
-    return className(static_cast<int>(
-        std::max_element(q.wait, q.wait + kNumWaitClasses) - q.wait));
+    return obs::waitClassName(q.wait.dominant());
 }
 
 /** One validated run: its queries plus what the printers share. */
@@ -399,7 +324,7 @@ struct RunAnatomy
     std::string label;
     std::vector<QueryRow> rows;
     /// Per-class sums over rows, in row order.
-    double classSum[kNumWaitClasses] = {};
+    obs::WaitLedger classSum;
     /// Non-shed latencies, ascending.
     std::vector<double> latencies;
     /// Non-shed queries, slowest first, ties by id. Points into rows,
@@ -443,20 +368,17 @@ validateRun(const JsonValue &run, Findings &st)
             st.add(qlabel + ": no \"wait\" ledger");
             continue;
         }
-        double sum = 0.0;
         for (int i = 0; i < kNumWaitClasses; ++i) {
-            const JsonValue *v = wait.find(className(i));
-            if (!v) {
+            if (const JsonValue *v = wait.find(className(i)))
+                row.wait.sec[i] = v->numberOr(0.0);
+            else
                 st.add(qlabel + ": wait ledger missing class "
                        + className(i));
-                continue;
-            }
-            row.wait[i] = v->numberOr(0.0);
-            sum += row.wait[i];
-            ra.classSum[i] += row.wait[i];
         }
+        ra.classSum += row.wait;
         // The exact-partition contract: fixed-order class sum equals
         // end-to-end latency bitwise (all-zero for shed queries).
+        double sum = row.wait.total();
         if (sum != row.latency)
             st.add(qlabel + ": wait classes sum to " + jsonNumber(sum)
                    + " but done - submit = " + jsonNumber(row.latency));
@@ -492,10 +414,10 @@ validateRun(const JsonValue &run, Findings &st)
     for (int i = 0; i < kNumWaitClasses; ++i) {
         double t = totals.num(className(i));
         double denom = std::max(1.0, std::fabs(t));
-        if (std::fabs(t - ra.classSum[i]) > 1e-9 * denom)
+        if (std::fabs(t - ra.classSum.sec[i]) > 1e-9 * denom)
             st.add(label + ": wait_totals." + className(i) + " = "
                    + jsonNumber(t) + " but queries sum to "
-                   + jsonNumber(ra.classSum[i]));
+                   + jsonNumber(ra.classSum.sec[i]));
     }
 
     // Blame row sums ARE each tenant's total contention wait.
@@ -572,7 +494,7 @@ crossCheckReport(const RunAnatomy &ra, const std::vector<Record> &records,
         auto it = rec->find(name);
         return it == rec->end() ? -1.0 : it->second;
     };
-    double p99 = percentileOf(ra.latencies, 0.99);
+    double p99 = percentile(ra.latencies, 0.99);
     double want = field("modelled_p99_latency_seconds");
     if (p99 != want)
         st.add(label + ": anatomy p99 " + jsonNumber(p99)
@@ -611,13 +533,13 @@ printRun(const RunAnatomy &ra, std::size_t topk)
 
     double total = 0.0;
     for (const QueryRow &q : ra.rows)
-        for (double w : q.wait)
+        for (double w : q.wait.sec)
             total += w;
     std::printf("  %-16s %12s %7s\n", "wait class", "seconds", "share");
     for (int i = 0; i < kNumWaitClasses; ++i)
         std::printf("  %-16s %12.4f %6.1f%%\n", className(i),
-                    ra.classSum[i],
-                    total > 0.0 ? 100.0 * ra.classSum[i] / total : 0.0);
+                    ra.classSum.sec[i],
+                    total > 0.0 ? 100.0 * ra.classSum.sec[i] / total : 0.0);
 
     const JsonValue &tenants = run.at("blame").at("tenants");
     const JsonValue &seconds = run.at("blame").at("seconds");
@@ -664,61 +586,52 @@ printRun(const RunAnatomy &ra, std::size_t topk)
     }
 }
 
-/** Deterministic summary JSON (stable key order, %.17g numbers). */
+/** Deterministic summary JSON (stable key order). */
 void
-writeSummary(std::ostream &os, const JsonValue &root,
+writeSummary(obs::JsonWriter &w, const JsonValue &root,
              const std::vector<RunAnatomy> &runs, std::size_t topk)
 {
-    os << "{\"seed\":" << jsonNumber(root.num("seed")) << ",\"runs\":[";
-    for (std::size_t ri = 0; ri < runs.size(); ++ri) {
-        const RunAnatomy &ra = runs[ri];
+    w.beginObject().key("seed").number(root.num("seed"));
+    w.key("runs").beginArray();
+    for (const RunAnatomy &ra : runs) {
         const JsonValue &run = *ra.run;
-        os << (ri ? "," : "") << "{\"label\":\""
-           << obs::jsonEscape(run.text("label", "")) << "\",\"overload\":"
-           << jsonNumber(run.num("overload", 1.0))
-           << ",\"fifo\":" << jsonNumber(run.num("fifo"));
-        os << ",\"queries\":" << ra.rows.size()
-           << ",\"shed\":" << ra.rows.size() - ra.latencies.size()
-           << ",\"p50_seconds\":"
-           << jsonNumber(percentileOf(ra.latencies, 0.50))
-           << ",\"p99_seconds\":"
-           << jsonNumber(percentileOf(ra.latencies, 0.99));
-        os << ",\"wait_totals\":{";
-        for (int i = 0; i < kNumWaitClasses; ++i)
-            os << (i ? "," : "") << '"' << className(i)
-               << "\":" << jsonNumber(ra.classSum[i]);
-        os << "},\"tenant_contention_seconds\":[";
-        const JsonValue &contention = run.at("tenant_contention_seconds");
-        for (std::size_t i = 0; i < contention.array.size(); ++i)
-            os << (i ? "," : "")
-               << jsonNumber(contention.array[i].numberOr(0.0));
-        os << "],\"top\":[";
+        w.beginObject().key("label").string(run.text("label", ""));
+        w.key("overload").number(run.num("overload", 1.0));
+        w.key("fifo").number(run.num("fifo"));
+        w.key("queries").integer(ra.rows.size());
+        w.key("shed").integer(ra.rows.size() - ra.latencies.size());
+        w.key("p50_seconds").number(percentile(ra.latencies, 0.50));
+        w.key("p99_seconds").number(percentile(ra.latencies, 0.99));
+        w.key("wait_totals");
+        ra.classSum.toJson(w);
+        w.key("tenant_contention_seconds").beginArray();
+        for (const JsonValue &c : run.at("tenant_contention_seconds").array)
+            w.number(c.numberOr(0.0));
+        w.endArray().key("top").beginArray();
         for (std::size_t i = 0; i < std::min(topk, ra.slowest.size());
              ++i) {
             const QueryRow *q = ra.slowest[i];
-            os << (i ? "," : "") << "{\"id\":" << jsonNumber(q->id)
-               << ",\"name\":\"" << obs::jsonEscape(q->name)
-               << "\",\"tenant\":" << jsonNumber(q->tenant)
-               << ",\"latency_seconds\":" << jsonNumber(q->latency)
-               << ",\"dominant\":\"" << dominantClass(*q)
-               << "\"}";
+            w.beginObject().key("id").number(q->id);
+            w.key("name").string(q->name).key("tenant").number(q->tenant);
+            w.key("latency_seconds").number(q->latency);
+            w.key("dominant").string(dominantClass(*q)).endObject();
         }
-        os << "]}";
+        w.endArray().endObject();
     }
-    os << "]}\n";
+    w.endArray().endObject();
 }
 
 int
 anatomy(int argc, char **argv)
 {
-    Args a = parseArgs(argc, argv, {"--report", "--top", "--json"}, false,
-                       1);
-    std::size_t topk = a.count("--top", 5);
+    Args a = obs::parseArgs(argc, argv, 2, {"--report", "--top", "--json"},
+                            {}, 1);
+    std::size_t topk = a.integer("--top", 5);
     if (!a.error.empty())
         return usage(a.error);
     const std::string &path = a.paths[0];
-    std::string report_path = a.values["--report"];
-    std::string json_path = a.values["--json"];
+    std::string report_path = a.value("--report");
+    std::string json_path = a.value("--json");
 
     JsonValue root;
     if (!loadRuns(path, &root))
@@ -742,10 +655,10 @@ anatomy(int argc, char **argv)
     }
 
     if (!json_path.empty()) {
-        std::ofstream f(json_path);
-        if (!f)
-            return fatal("cannot write " + json_path);
-        writeSummary(f, root, anatomies, topk);
+        if (!obs::writeJsonFile(json_path, [&](obs::JsonWriter &w) {
+                writeSummary(w, root, anatomies, topk);
+            }))
+            return 2;
         std::printf("wrote %s\n", json_path.c_str());
     }
 

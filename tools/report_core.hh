@@ -1,15 +1,10 @@
 /**
  * @file
- * Core of aqreport, split out of aqreport.cc so the reader, the bench
- * gate and the structural diff are unit-testable.
+ * Core of aqreport, split out of aqreport.cc so the bench gate and the
+ * structural diff are unit-testable. Both read reports with the one
+ * JSON reader (obs/json.hh).
  *
- * Three layers:
- *  - JsonValue / parseJson / parseJsonFile: the one JSON reader. It
- *    builds a value tree (object member order preserved) and rejects
- *    anything outside RFC 8259: trailing text after the root value,
- *    numbers outside JSON's grammar ("inf", "0x10"), and nesting deeper
- *    than kMaxJsonDepth. Every error names the fault and its offset;
- *    parseJsonFile prefixes the file.
+ * Two layers:
  *  - Record / parseReport / recordKey / diffReports: the bench gate. A
  *    record key present in the baseline but absent from the candidate
  *    (or vice versa) is reported by name and side — never as a bare
@@ -22,131 +17,21 @@
 #define AQUOMAN_TOOLS_REPORT_CORE_HH
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/json.hh"
+
 namespace aquoman::tools {
 
-// ---------------------------------------------------------------------
-// JSON value tree and its reader.
-// ---------------------------------------------------------------------
-
-struct JsonValue
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> array;
-    /// Members in file order (deterministic writers sort their keys).
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    /** Member @p key of an object (nullptr when absent / not object). */
-    const JsonValue *
-    find(const std::string &key) const
-    {
-        if (kind != Kind::Object)
-            return nullptr;
-        for (const auto &[k, v] : object)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-
-    /** Member @p key, or a shared null value when find() has none. */
-    const JsonValue &
-    at(const std::string &key) const
-    {
-        static const JsonValue kNull;
-        const JsonValue *v = find(key);
-        return v ? *v : kNull;
-    }
-
-    double
-    numberOr(double fallback) const
-    {
-        return kind == Kind::Number ? number : fallback;
-    }
-
-    /** Numeric member @p key, or @p fallback. */
-    double
-    num(const std::string &key, double fallback = 0.0) const
-    {
-        return at(key).numberOr(fallback);
-    }
-
-    /** String member @p key, or @p fallback. */
-    std::string
-    text(const std::string &key, const std::string &fallback = "?") const
-    {
-        const JsonValue &v = at(key);
-        return v.kind == Kind::String ? v.str : fallback;
-    }
-};
-
-/// Deepest array/object nesting the reader accepts; deeper input is
-/// rejected instead of recursing the stack away.
-inline constexpr int kMaxJsonDepth = 512;
-
-/**
- * End of the JSON number starting at @p p — grammar
- * -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? — or nullptr when the
- * text there is not one.
- */
-inline const char *
-scanJsonNumber(const char *p, const char *end)
-{
-    auto digits = [end](const char *q) -> const char * {
-        const char *start = q;
-        while (q < end && *q >= '0' && *q <= '9')
-            ++q;
-        return q == start ? nullptr : q;
-    };
-    if (p < end && *p == '-')
-        ++p;
-    if (p < end && *p == '0')
-        ++p;
-    else if (!(p = digits(p)))
-        return nullptr;
-    if (p < end && *p == '.' && !(p = digits(p + 1)))
-        return nullptr;
-    if (p < end && (*p == 'e' || *p == 'E')) {
-        ++p;
-        if (p < end && (*p == '+' || *p == '-'))
-            ++p;
-        p = digits(p);
-    }
-    return p;
-}
-
-/** @p text as a number when all of it follows JSON's number grammar. */
-inline bool
-parseJsonNumber(const std::string &text, double *out)
-{
-    const char *end = text.data() + text.size();
-    return scanJsonNumber(text.data(), end) == end
-        && std::from_chars(text.data(), end, *out).ec == std::errc();
-}
+using obs::JsonValue;
+using obs::parseJson;
+using obs::parseJsonFile;
 
 namespace detail {
 
@@ -169,234 +54,7 @@ relativeDrift(double base, double cand)
     return std::fabs(cand - base) / denom;
 }
 
-/** Recursive-descent reader behind parseJson. */
-struct JsonParser
-{
-    const char *begin;
-    const char *p;
-    const char *end;
-    std::string error;
-
-    explicit JsonParser(const std::string &text)
-        : begin(text.data()), p(text.data()), end(text.data() + text.size())
-    {
-    }
-
-    bool
-    fail(const std::string &what)
-    {
-        if (error.empty())
-            error = what + " at offset " + std::to_string(p - begin);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (p < end && (*p == ' ' || *p == '\t' || *p == '\n'
-                           || *p == '\r'))
-            ++p;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (p < end && *p == c) {
-            ++p;
-            return true;
-        }
-        return fail(p < end ? std::string("expected '") + c + "'"
-                            : "unexpected end of input");
-    }
-
-    bool
-    peek(char c)
-    {
-        skipWs();
-        return p < end && *p == c;
-    }
-
-    /** Whether a literal or number ending at @p q runs on into more
-     *  token characters ("truex", "0x10", "1.5.2"). */
-    bool
-    runsOn(const char *q) const
-    {
-        return q < end
-            && (std::isalnum(static_cast<unsigned char>(*q)) || *q == '.');
-    }
-
-    /** \uXXXX (after the "\u") as UTF-8; surrogates are not paired. */
-    bool
-    parseUnicodeEscape(std::string &s)
-    {
-        unsigned cp = 0;
-        if (end - p < 4 || std::from_chars(p, p + 4, cp, 16).ptr != p + 4)
-            return fail("bad \\u escape");
-        p += 4;
-        if (cp < 0x80) {
-            s += static_cast<char>(cp);
-        } else if (cp < 0x800) {
-            s += static_cast<char>(0xC0 | (cp >> 6));
-            s += static_cast<char>(0x80 | (cp & 0x3F));
-        } else {
-            s += static_cast<char>(0xE0 | (cp >> 12));
-            s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            s += static_cast<char>(0x80 | (cp & 0x3F));
-        }
-        return true;
-    }
-
-    bool
-    parseString(std::string *out)
-    {
-        if (!consume('"'))
-            return false;
-        std::string s;
-        while (p < end && *p != '"') {
-            char c = *p++;
-            if (static_cast<unsigned char>(c) < 0x20)
-                return fail("control character in string");
-            if (c != '\\') {
-                s += c;
-                continue;
-            }
-            if (p >= end)
-                break;
-            switch (char e = *p++) {
-              case '"': case '\\': case '/': s += e; break;
-              case 'b': s += '\b'; break;
-              case 'f': s += '\f'; break;
-              case 'n': s += '\n'; break;
-              case 'r': s += '\r'; break;
-              case 't': s += '\t'; break;
-              case 'u':
-                if (!parseUnicodeEscape(s))
-                    return false;
-                break;
-              default:
-                return fail("bad escape");
-            }
-        }
-        if (p >= end)
-            return fail("unterminated string");
-        ++p;
-        *out = std::move(s);
-        return true;
-    }
-
-    bool
-    parseValue(JsonValue *out, int depth)
-    {
-        skipWs();
-        if (p >= end)
-            return fail("unexpected end of input");
-        if ((*p == '{' || *p == '[') && depth >= kMaxJsonDepth)
-            return fail("nesting deeper than "
-                        + std::to_string(kMaxJsonDepth) + " levels");
-        switch (*p) {
-          case '{': {
-            ++p;
-            out->kind = JsonValue::Kind::Object;
-            if (peek('}'))
-                return consume('}');
-            do {
-                std::string key;
-                JsonValue v;
-                if (!parseString(&key) || !consume(':')
-                    || !parseValue(&v, depth + 1))
-                    return false;
-                out->object.emplace_back(std::move(key), std::move(v));
-            } while (peek(',') && consume(','));
-            return consume('}');
-          }
-          case '[': {
-            ++p;
-            out->kind = JsonValue::Kind::Array;
-            if (peek(']'))
-                return consume(']');
-            do {
-                JsonValue v;
-                if (!parseValue(&v, depth + 1))
-                    return false;
-                out->array.push_back(std::move(v));
-            } while (peek(',') && consume(','));
-            return consume(']');
-          }
-          case '"':
-            out->kind = JsonValue::Kind::String;
-            return parseString(&out->str);
-          case 't':
-          case 'f':
-          case 'n': {
-            const char *lit = *p == 't' ? "true"
-                : *p == 'f'            ? "false"
-                                       : "null";
-            auto len = static_cast<std::ptrdiff_t>(std::strlen(lit));
-            if (end - p < len || std::strncmp(p, lit, len) != 0
-                || runsOn(p + len))
-                return fail("bad literal");
-            p += len;
-            out->kind = *lit == 'n' ? JsonValue::Kind::Null
-                                    : JsonValue::Kind::Bool;
-            out->boolean = *lit == 't';
-            return true;
-          }
-          default: {
-            if (*p != '-' && !std::isdigit(static_cast<unsigned char>(*p)))
-                return fail(std::string("unexpected character '") + *p
-                            + "'");
-            const char *num_end = scanJsonNumber(p, end);
-            if (num_end == nullptr || runsOn(num_end))
-                return fail("malformed number");
-            if (std::from_chars(p, num_end, out->number).ec != std::errc())
-                return fail("number out of range");
-            out->kind = JsonValue::Kind::Number;
-            p = num_end;
-            return true;
-          }
-        }
-    }
-};
-
 } // namespace detail
-
-/**
- * Parse @p text as one JSON document. On failure @p error names the
- * fault and its byte offset.
- */
-inline bool
-parseJson(const std::string &text, JsonValue *out, std::string *error)
-{
-    detail::JsonParser ps(text);
-    if (ps.parseValue(out, 0)) {
-        ps.skipWs();
-        if (ps.p == ps.end)
-            return true;
-        ps.fail("trailing characters after the root value");
-    }
-    *error = ps.error;
-    return false;
-}
-
-/** parseJson over a file; the error is prefixed with @p path. */
-inline bool
-parseJsonFile(const std::string &path, JsonValue *out,
-              std::string *error)
-{
-    std::ifstream f(path);
-    if (!f) {
-        *error = "cannot open " + path;
-        return false;
-    }
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    if (!parseJson(buf.str(), out, error)) {
-        *error = path + ": " + *error;
-        return false;
-    }
-    return true;
-}
 
 // ---------------------------------------------------------------------
 // Bench-report records and the regression gate.
@@ -582,9 +240,10 @@ diffReports(const std::vector<Record> &baseline,
             double drift = detail::relativeDrift(base_v, cand_v);
             if (drift > opt.modelTolerance) {
                 res.failureMessages.push_back(detail::formatMsg(
-                    "FAIL %s: %s drifted %.17g -> %.17g "
-                    "(rel %.3g > tol %.3g)",
-                    key.c_str(), name.c_str(), base_v, cand_v, drift,
+                    "FAIL %s: %s drifted %s -> %s (rel %.3g > tol %.3g)",
+                    key.c_str(), name.c_str(),
+                    obs::jsonNumber(base_v).c_str(),
+                    obs::jsonNumber(cand_v).c_str(), drift,
                     opt.modelTolerance));
                 ++res.failures;
             }
@@ -720,8 +379,9 @@ diffJson(const std::string &path, const JsonValue &a, const JsonValue &b,
         double drift = detail::relativeDrift(a.number, b.number);
         if (drift > tolerance)
             out.add(detail::formatMsg(
-                "%s: %.17g vs %.17g (rel %.3g > tol %.3g)", path.c_str(),
-                a.number, b.number, drift, tolerance));
+                "%s: %s vs %s (rel %.3g > tol %.3g)", path.c_str(),
+                obs::jsonNumber(a.number).c_str(),
+                obs::jsonNumber(b.number).c_str(), drift, tolerance));
         return;
       }
       case JsonValue::Kind::String:
