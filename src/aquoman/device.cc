@@ -19,7 +19,6 @@
 #include "common/decimal.hh"
 #include "obs/trace.hh"
 #include "relalg/eval.hh"
-#include "relalg/pred_kernel.hh"
 
 namespace aquoman {
 
@@ -377,18 +376,6 @@ struct AquomanDevice::Impl
 
     // ----------------------------------------------------- leaf scan
 
-    /** Number of top-level AND conjuncts usable by the Row Selector. */
-    static void
-    splitConjuncts(const ExprPtr &e, std::vector<ExprPtr> &out)
-    {
-        if (e->kind == ExprKind::Logic && e->logicOp == LogicOp::And) {
-            splitConjuncts(e->children[0], out);
-            splitConjuncts(e->children[1], out);
-        } else {
-            out.push_back(e);
-        }
-    }
-
     static bool
     selectorEligible(const ExprPtr &e)
     {
@@ -446,88 +433,57 @@ struct AquomanDevice::Impl
         return rel;
     }
 
+    /**
+     * Count the top-level AND conjuncts of @p e, in order, that the
+     * regex accelerator (LIKE, NOT LIKE) and the Row Selector's
+     * predicate evaluators take; the rest go to the Row Transformer.
+     */
+    void
+    countSelectorConjuncts(const ExprPtr &e, int &selector_preds,
+                           int &regex_preds) const
+    {
+        if (e->kind == ExprKind::Logic && e->logicOp == LogicOp::And) {
+            countSelectorConjuncts(e->children[0], selector_preds,
+                                   regex_preds);
+            countSelectorConjuncts(e->children[1], selector_preds,
+                                   regex_preds);
+        } else if (e->kind == ExprKind::Like
+                   || (e->kind == ExprKind::Not
+                       && e->children[0]->kind == ExprKind::Like)) {
+            ++regex_preds;
+        } else if (selectorEligible(e)
+                   && selector_preds < config.numPredicateEvaluators) {
+            ++selector_preds;
+        }
+    }
+
+    /**
+     * Row Selector over @p rel: the host engine's filterSelection over a
+     * view that holds each predicate column once, so the device keeps
+     * exactly the host's rows. A leaf scan streams every page of each
+     * predicate column, in predicate order, whatever the predicate
+     * keeps (compressed page-touch when the table is encoded, the raw
+     * page-touch model otherwise).
+     */
     void
     applyFilter(DeviceRelation &rel, const ExprPtr &pred,
                 bool leaf_scan, const std::string &what)
     {
-        std::vector<ExprPtr> conjuncts;
-        splitConjuncts(pred, conjuncts);
         int selector_preds = 0;
         int regex_preds = 0;
-        for (const auto &c : conjuncts) {
-            if (c->kind == ExprKind::Like
-                    || (c->kind == ExprKind::Not
-                        && c->children[0]->kind == ExprKind::Like)) {
-                ++regex_preds;
-            } else if (selectorEligible(c)
-                       && selector_preds
-                           < config.numPredicateEvaluators) {
-                ++selector_preds;
-            }
-        }
+        countSelectorConjuncts(pred, selector_preds, regex_preds);
         std::vector<std::string> cols;
         collectColumns(pred, cols);
-        // Both evaluation strategies charge a leaf scan identically:
-        // the Row Selector streams every page of each predicate
-        // column, in predicate order (compressed page-touch when the
-        // table is encoded, the raw page-touch model otherwise).
-        if (leaf_scan) {
-            for (const auto &c : cols)
+        RelTable view;
+        for (const auto &c : cols) {
+            if (leaf_scan)
                 chargeGather(rel, c);
+            view.addColumn(gather(rel, c, false));
         }
-        std::vector<std::int64_t> keep;
-        if (!batchExecutionEnabled()) {
-            // Scalar oracle: materialize every predicate column over
-            // every tuple, evaluate the whole tree at once.
-            RelTable view;
-            for (const auto &c : cols)
-                view.addColumn(gather(rel, c, false));
-            BitVector mask = evalPredicate(pred, view);
-            keep.reserve(mask.popcount());
-            for (std::int64_t i = 0; i < rel.rows; ++i)
-                if (mask.get(i))
-                    keep.push_back(i);
-        } else {
-            // Batched Row Selector: flash already charged above;
-            // short-circuit conjuncts over a shrinking selection.
-            SelectionVector sel = SelectionVector::dense(rel.rows);
-            for (const auto &c : conjuncts) {
-                if (sel.empty())
-                    break;
-                std::vector<std::string> ccols;
-                collectColumns(c, ccols);
-                RelTable view;
-                for (const auto &name : ccols)
-                    view.addColumn(
-                        gather(rel, name, false, sel.data(), sel.size()));
-                if (view.numColumns() == 0) {
-                    // Constant conjunct: one verdict for all rows.
-                    RelTable one;
-                    RelColumn dummy("__sel_rows", ColumnType::Int64);
-                    dummy.push(0);
-                    one.addColumn(std::move(dummy));
-                    RelColumn v = evalExpr(c, one, "pred");
-                    if (v.get(0) == 0 || v.get(0) == kNullValue)
-                        sel = SelectionVector::dense(0);
-                    continue;
-                }
-                // Compiled mask kernel over the gathered view (flash
-                // traffic was charged above, so this only changes CPU
-                // cost); same verdicts as evalPredicate by contract.
-                if (auto kern = ConjunctKernel::tryCompile(c, view)) {
-                    BitVector mask;
-                    ConjunctKernel::Scratch scratch;
-                    kern->evalMask(view, nullptr, 0, view.numRows(),
-                                   mask, scratch);
-                    sel.filter(mask);
-                    continue;
-                }
-                sel.filter(evalPredicate(c, view));
-            }
-            keep = sel.toIndices();
-        }
+        SelectionVector sel = SelectionVector::dense(rel.rows);
+        filterSelection(pred, view, sel);
         std::int64_t before = rel.rows;
-        compact(rel, keep);
+        compact(rel, sel.toIndices());
         openTask.selectorPreds += selector_preds;
         openTask.regexPreds += regex_preds;
         recordTask("rowScan " + what, &rel, before, rel.rows);
@@ -851,7 +807,7 @@ struct AquomanDevice::Impl
             ExprPtr e = eq(col(node.leftKeys[k]), col(node.rightKeys[k]));
             pred = pred ? andE(pred, e) : e;
         }
-        std::vector<char> pass(li.size(), 1);
+        std::vector<char> pass(li.size(), pred ? 0 : 1);
         if (!pred)
             return pass;
         std::vector<std::string> cols;
@@ -873,9 +829,11 @@ struct AquomanDevice::Impl
             view.addColumn(gather(side, cname, true, idx.data(),
                                   static_cast<std::int64_t>(idx.size())));
         }
-        BitVector mask = evalPredicate(pred, view);
-        for (std::size_t i = 0; i < pass.size(); ++i)
-            pass[i] = mask.get(static_cast<std::int64_t>(i));
+        SelectionVector sel = SelectionVector::dense(
+            static_cast<std::int64_t>(li.size()));
+        filterSelection(pred, view, sel);
+        for (std::int64_t k = 0; k < sel.size(); ++k)
+            pass[sel[k]] = 1;
         return pass;
     }
 

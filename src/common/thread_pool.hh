@@ -36,6 +36,15 @@
 
 namespace aquoman {
 
+/**
+ * Rows per morsel for the parallel operator paths (the baseline
+ * executor's loops and the shared Row Selector, filterSelection).
+ * Inputs at or below one morsel run inline on the calling thread
+ * (parallelFor's serial fast path), so small relations pay no
+ * scheduling overhead.
+ */
+constexpr std::int64_t kMorselRows = 16384;
+
 /** Process-wide work-sharing pool with a parallel-for primitive. */
 class ThreadPool
 {

@@ -5,6 +5,7 @@
 
 #include "common/batch_mode.hh"
 #include "common/decimal.hh"
+#include "common/thread_pool.hh"
 #include "relalg/plan.hh"
 #include "relalg/pred_kernel.hh"
 
@@ -412,6 +413,9 @@ evalExprSel(const ExprPtr &e, const RelTable &input,
     return evalExpr(e, sub, name);
 }
 
+namespace {
+
+/** Split the top-level AND tree of @p e into its conjuncts, in order. */
 void
 splitAndConjuncts(const ExprPtr &e, std::vector<ExprPtr> &out)
 {
@@ -423,6 +427,8 @@ splitAndConjuncts(const ExprPtr &e, std::vector<ExprPtr> &out)
     }
 }
 
+} // namespace
+
 void
 filterSelection(const ExprPtr &pred, const RelTable &input,
                 SelectionVector &sel)
@@ -430,74 +436,112 @@ filterSelection(const ExprPtr &pred, const RelTable &input,
     std::vector<ExprPtr> conjuncts;
     splitAndConjuncts(pred, conjuncts);
 
-    if (!batchExecutionEnabled()) {
-        // Reference path (AQUOMAN_BATCH=0): conjunct-at-a-time sparse
-        // merges through the interpreted evaluator — the bit-identical
-        // oracle the compiled fold below is diffed against.
-        for (const ExprPtr &c : conjuncts) {
-            if (sel.empty())
-                break;
-            std::int64_t n = sel.size();
-            RelColumn v = evalExprSel(c, input, sel.data(), 0, n, "pred");
-            BitVector mask(n);
-            for (std::int64_t i = 0; i < n; ++i)
-                mask.set(i, v.get(i) != 0 && v.get(i) != kNullValue);
-            sel.filter(mask);
-        }
-        return;
-    }
-
+    // Compiled mask kernels where a conjunct is eligible. With
+    // AQUOMAN_BATCH=0 none is compiled and every conjunct runs through
+    // the interpreted evaluator: the bit-identical reference the
+    // compiled path is diffed against.
     std::vector<std::unique_ptr<ConjunctKernel>> kernels(conjuncts.size());
-    for (std::size_t i = 0; i < conjuncts.size(); ++i)
-        kernels[i] = ConjunctKernel::tryCompile(conjuncts[i], input);
-    ConjunctKernel::Scratch scratch;
+    if (batchExecutionEnabled()) {
+        for (std::size_t i = 0; i < conjuncts.size(); ++i)
+            kernels[i] = ConjunctKernel::tryCompile(conjuncts[i], input);
+    }
 
-    // Phase A: while the selection is still dense, AND-fold the masks
-    // of every cheap compiled conjunct (bare compares: one streaming
-    // pass each, no gather) word-wise, then materialize survivors
-    // once. Evaluating these out of order is sound because conjunct
-    // verdicts are pure and per-row — NULL fails a comparison on both
-    // paths — so AND order changes cost, never the surviving set.
+    // While the selection is still dense, every cheap compiled
+    // conjunct (a bare compare: one streaming pass, no gather) is
+    // AND-folded word-wise before any survivor list materializes.
+    // Evaluating these out of order is sound because conjunct verdicts
+    // are pure and per-row (NULL fails a comparison on both paths), so
+    // AND order changes cost, never the surviving set.
+    const std::int64_t *base = sel.data(); // nullptr when dense
     std::vector<bool> folded(conjuncts.size(), false);
-    if (sel.isDense() && !sel.empty()) {
-        BitVector acc, m;
-        bool any = false;
-        for (std::size_t i = 0; i < conjuncts.size(); ++i) {
-            if (kernels[i] == nullptr || !kernels[i]->cheap())
-                continue;
-            BitVector &dst = any ? m : acc;
-            kernels[i]->evalMask(input, nullptr, 0, sel.size(), dst,
-                                 scratch);
-            if (any)
-                acc.andWith(m);
-            any = true;
-            folded[i] = true;
-        }
-        if (any)
-            sel.filter(acc);
-    }
+    for (std::size_t i = 0; i < conjuncts.size(); ++i)
+        folded[i] = base == nullptr && kernels[i] && kernels[i]->cheap();
 
-    // Phase B: remaining conjuncts in original order over the
-    // shrinking selection — compiled kernels where eligible, the
-    // reference evaluator otherwise.
-    BitVector mask;
-    for (std::size_t i = 0; i < conjuncts.size(); ++i) {
-        if (folded[i])
-            continue;
-        if (sel.empty())
-            break;
-        std::int64_t n = sel.size();
-        if (kernels[i] != nullptr) {
-            kernels[i]->evalMask(input, sel.data(), 0, n, mask, scratch);
-        } else {
-            RelColumn v = evalExprSel(conjuncts[i], input, sel.data(), 0,
-                                      n, "pred");
-            mask.resize(n);
-            for (std::int64_t r = 0; r < n; ++r)
-                mask.set(r, v.get(r) != 0 && v.get(r) != kNullValue);
+    // Each morsel of the input selection runs the conjunct chain on its
+    // own survivors; joining the morsel lists in morsel order gives the
+    // serial ascending row order for any thread count.
+    auto morsels = ThreadPool::splitRange(0, sel.size(), kMorselRows);
+    std::vector<std::vector<std::int64_t>> locals(morsels.size());
+    std::vector<char> whole(morsels.size(), 1); // no row of it failed
+    parallelFor(0, static_cast<std::int64_t>(morsels.size()), 1,
+                [&](std::int64_t m0, std::int64_t m1) {
+        ConjunctKernel::Scratch scratch;
+        BitVector acc, mask;
+        for (std::int64_t m = m0; m < m1; ++m) {
+            auto [b, e] = morsels[m];
+            // Survivors: the morsel's input positions until a conjunct
+            // drops a row, then the morsel-local list. `whole` is what
+            // says which; an emptied list's data() proves nothing.
+            const std::int64_t *rows = base == nullptr ? nullptr : base + b;
+            std::int64_t n = e - b;
+            std::vector<std::int64_t> &out = locals[m];
+            auto keep = [&](const BitVector &verdicts) {
+                const std::int64_t kept = verdicts.popcount();
+                if (kept == n)
+                    return;
+                std::vector<std::int64_t> next;
+                next.reserve(kept);
+                for (std::int64_t w = 0; w < verdicts.numWords(); ++w) {
+                    std::uint32_t bits = verdicts.word(w);
+                    while (bits != 0) {
+                        std::int64_t pos = w * 32 + __builtin_ctz(bits);
+                        next.push_back(rows ? rows[pos] : b + pos);
+                        bits &= bits - 1;
+                    }
+                }
+                out.swap(next);
+                rows = out.data();
+                n = kept;
+                whole[m] = 0;
+            };
+
+            bool any = false;
+            for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+                if (!folded[i])
+                    continue;
+                kernels[i]->evalMask(input, nullptr, b, n, any ? mask : acc,
+                                     scratch);
+                if (any)
+                    acc.andWith(mask);
+                any = true;
+            }
+            if (any)
+                keep(acc);
+
+            for (std::size_t i = 0; i < conjuncts.size() && n > 0; ++i) {
+                if (folded[i])
+                    continue;
+                if (kernels[i]) {
+                    kernels[i]->evalMask(input, rows, b, n, mask, scratch);
+                } else {
+                    RelColumn v =
+                        evalExprSel(conjuncts[i], input, rows, b, n, "pred");
+                    mask.resize(n);
+                    for (std::int64_t r = 0; r < n; ++r)
+                        mask.set(r, v.get(r) != 0 && v.get(r) != kNullValue);
+                }
+                keep(mask);
+            }
         }
-        sel.filter(mask);
+    });
+
+    if (std::all_of(whole.begin(), whole.end(), [](char w) { return w; }))
+        return; // every row passed: selection unchanged
+    std::size_t total = 0;
+    for (std::size_t m = 0; m < morsels.size(); ++m)
+        total += whole[m] ? morsels[m].second - morsels[m].first
+                          : locals[m].size();
+    std::vector<std::int64_t> next;
+    next.reserve(total);
+    for (std::size_t m = 0; m < morsels.size(); ++m) {
+        if (!whole[m]) {
+            next.insert(next.end(), locals[m].begin(), locals[m].end());
+            continue;
+        }
+        for (std::int64_t p = morsels[m].first; p < morsels[m].second; ++p)
+            next.push_back(sel[p]);
     }
+    sel.assign(std::move(next));
 }
 
 } // namespace aquoman

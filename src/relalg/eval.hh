@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "columnstore/selection_vector.hh"
 #include "common/bitvector.hh"
@@ -45,14 +44,16 @@ RelColumn evalExprSel(const ExprPtr &e, const RelTable &input,
                       const std::int64_t *rows, std::int64_t first,
                       std::int64_t n, const std::string &name = "expr");
 
-/** Split the top-level AND tree of @p e into its conjuncts, in order. */
-void splitAndConjuncts(const ExprPtr &e, std::vector<ExprPtr> &out);
-
 /**
- * Shrink @p sel to the rows of @p input passing @p pred, evaluating
- * conjunct by conjunct so later conjuncts only see survivors. The
- * resulting selection is exactly the ascending pass set evalPredicate
- * would produce over the rows @p sel selects.
+ * The Row Selector both engines filter through: shrink @p sel to the
+ * rows of @p input passing @p pred. Each kMorselRows morsel of the
+ * selection runs the AND-conjunct chain on its own survivors, so later
+ * conjuncts only see rows the earlier ones kept, through compiled mask
+ * kernels where eligible and the interpreted evaluator otherwise (only
+ * the latter with AQUOMAN_BATCH=0). The resulting selection is exactly
+ * the ascending pass set evalPredicate would produce over the rows
+ * @p sel selects, for any thread count. @p input may have no columns
+ * when @p pred references none; its row count then comes from @p sel.
  */
 void filterSelection(const ExprPtr &pred, const RelTable &input,
                      SelectionVector &sel);

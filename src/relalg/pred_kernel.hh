@@ -1,17 +1,20 @@
 /**
  * @file
- * Compiled conjunct kernels for the batched Row Selector. A predicate
- * conjunct whose tree is Compare(numeric-arith, numeric-arith) is
- * compiled once into a flat step list (column loads, null-safe decimal
- * scaling, arithmetic temporaries, one final compare) and evaluated
- * column-at-a-time straight into 32-bit selection-mask words — the
- * bitmask AND-fold replacing the old row-at-a-time sparse merges.
+ * Compiled conjunct kernels for the batched Row Selector,
+ * filterSelection (relalg/eval.hh), the one filter loop the host
+ * engine and the device share; nothing outside relalg uses them
+ * directly. A predicate conjunct whose tree is
+ * Compare(numeric-arith, numeric-arith) is compiled once per
+ * filterSelection call into a flat step list (column loads, null-safe
+ * decimal scaling, arithmetic temporaries, one final compare) and
+ * evaluated per morsel, column-at-a-time, straight into 32-bit
+ * selection-mask words.
  *
  * The compiled kernel transcribes evalExpr's semantics exactly (null
  * propagation, decimal promotion, compare-side scaling), so its mask
  * is bit-identical to evalPredicate over the same rows; conjuncts the
  * compiler rejects (strings, LIKE, IN, CASE, OR, ...) simply keep the
- * reference evaluator path. See DESIGN.md §16.
+ * reference evaluator path. See DESIGN.md §11 and §16.
  */
 
 #ifndef AQUOMAN_RELALG_PRED_KERNEL_HH

@@ -272,6 +272,48 @@ TEST_F(DevicePathsTest, GroupByMinMaxAvgMatchBaseline)
     EXPECT_EQ(canon(got.result), canon(want));
 }
 
+TEST_F(DevicePathsTest, ConstantConjunctsKeepHostRowsAndFlashBytes)
+{
+    // A constant conjunct references no column, so the Row Selector
+    // streams exactly the pages the column conjunct alone streams; a
+    // constant-false one empties the scan, a constant-true one keeps
+    // the column conjunct's rows. The join makes the filter a leaf
+    // scan, the Table Task that carries the predicate columns' flash.
+    ExprPtr cut = gt(col("e_val"), litDec("100.00"));
+    auto scan_query = [](ExprPtr pred) {
+        return Query{"cc",
+                     {{"out", groupBy(
+                           join(JoinType::Inner,
+                                filter(scan("events"), pred),
+                                scan("codes"), {"e_code"}, {"c_code"}),
+                           {"c_weight"},
+                           {{"n", AggKind::Count, nullptr}})}}};
+    };
+    OffloadedQueryResult plain = device(scan_query(cut));
+    const TableTaskRecord *plain_scan =
+        findTask(plain.stats, "rowScan events");
+    ASSERT_NE(plain_scan, nullptr);
+    ASSERT_GT(plain_scan->flashBytes, 0);
+    const std::pair<ExprPtr, bool> cases[] = {
+        {andE(cut, eq(lit(1), lit(1))), true},
+        {andE(eq(lit(1), lit(0)), cut), false},
+        {andE(andE(cut, eq(lit(2), lit(2))), lt(lit(3), lit(1))), false},
+    };
+    for (const auto &[pred, keeps_rows] : cases) {
+        Query q = scan_query(pred);
+        RelTable want = baseline(q);
+        OffloadedQueryResult got = device(q);
+        ASSERT_TRUE(got.stats.suspensions.empty())
+            << got.stats.suspensions[0].detail;
+        EXPECT_EQ(canon(got.result), canon(want));
+        const TableTaskRecord *scan_task =
+            findTask(got.stats, "rowScan events");
+        ASSERT_NE(scan_task, nullptr);
+        EXPECT_EQ(scan_task->flashBytes, plain_scan->flashBytes);
+        EXPECT_EQ(scan_task->rowsOut, keeps_rows ? plain_scan->rowsOut : 0);
+    }
+}
+
 TEST_F(DevicePathsTest, DmaAccountedWhenHostConsumesDeviceStage)
 {
     // Stage 1 is a plain filter (device-resident tuples); stage 2 has
