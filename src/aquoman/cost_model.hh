@@ -56,6 +56,8 @@ struct WorkItem
     std::int64_t encodedBytes = 0; ///< Flash: bytes of the encoded pages
     std::int64_t spillRows = 0;    ///< GroupBy: rows spilled to the host
     double alternation = 0.0;      ///< Sort: merge-scheduler alternation
+
+    bool operator==(const WorkItem &) const = default;
 };
 static_assert(std::is_trivially_copyable_v<WorkItem>);
 

@@ -212,8 +212,8 @@ struct AquomanDevice::Impl
     }
 
     /**
-     * Gather one visible column at the @p n tuple positions @p pos
-     * (tuples [0, n) when @p pos is null; every tuple when n < 0).
+     * Gather one visible column at the tuple positions @p pos (every
+     * tuple when @p pos is null).
      * @param account when true, charge the column's flash read through
      *        chargeGather; callers that evaluate only some tuples charge
      *        it themselves, so the modelled traffic is independent of
@@ -221,23 +221,16 @@ struct AquomanDevice::Impl
      */
     RelColumn
     gather(const DeviceRelation &rel, const std::string &name,
-           bool account, const std::int64_t *pos = nullptr,
-           std::int64_t n = -1)
+           bool account, const std::vector<std::int64_t> *pos = nullptr)
     {
-        if (n < 0)
-            n = rel.rows;
-        auto at = [pos](std::int64_t i) { return pos ? pos[i] : i; };
         const DevCol &dc = resolve(rel, name);
         if (dc.dataColIdx >= 0) {
             // Device DRAM read: no flash traffic.
-            const RelColumn &src = rel.dataCols[dc.dataColIdx];
-            RelColumn out = src;
+            RelColumn out = rel.dataCols[dc.dataColIdx];
             out.name = name;
-            if (pos || n != src.size()) {
-                out.vals = std::make_shared<std::vector<std::int64_t>>(n);
-                for (std::int64_t i = 0; i < n; ++i)
-                    (*out.vals)[i] = src.get(at(i));
-            }
+            if (pos)
+                out.vals = std::make_shared<std::vector<std::int64_t>>(
+                    gatherValues(*out.vals, *pos));
             return out;
         }
         const Table &t = baseTable(rel.leafRefs[dc.leafIdx].table);
@@ -246,9 +239,8 @@ struct AquomanDevice::Impl
         if (src.type() == ColumnType::Varchar)
             out.heap = t.stringsPtr();
         const auto &ids = *rel.rowids[dc.leafIdx];
-        out.vals->resize(n);
-        for (std::int64_t i = 0; i < n; ++i)
-            (*out.vals)[i] = src.get(ids[at(i)]);
+        *out.vals = pos ? gatherValues(src.data(), gatherValues(ids, *pos))
+                        : gatherValues(src.data(), ids);
         if (account)
             chargeGather(rel, name);
         return out;
@@ -351,26 +343,16 @@ struct AquomanDevice::Impl
         return out;
     }
 
-    /** The entries of @p v at positions @p idx (RowIDs or values). */
-    static std::shared_ptr<std::vector<std::int64_t>>
-    pick(const std::vector<std::int64_t> &v,
-         const std::vector<std::int64_t> &idx)
-    {
-        auto out = std::make_shared<std::vector<std::int64_t>>();
-        out->reserve(idx.size());
-        for (std::int64_t k : idx)
-            out->push_back(v[k]);
-        return out;
-    }
-
     /** Keep only tuples at @p keep indices. */
-    void
+    static void
     compact(DeviceRelation &rel, const std::vector<std::int64_t> &keep)
     {
         for (auto &ids : rel.rowids)
-            ids = pick(*ids, keep);
+            ids = std::make_shared<std::vector<RowId>>(
+                gatherValues(*ids, keep));
         for (auto &dc : rel.dataCols)
-            dc.vals = pick(*dc.vals, keep);
+            dc.vals = std::make_shared<std::vector<std::int64_t>>(
+                gatherValues(*dc.vals, keep));
         rel.rows = static_cast<std::int64_t>(keep.size());
     }
 
@@ -794,9 +776,9 @@ struct AquomanDevice::Impl
 
     /**
      * Evaluate the residual predicate (plus trailing key equalities)
-     * over candidate tuple pairs; returns the pass mask.
+     * over candidate tuple pairs; returns the passing pair positions.
      */
-    std::vector<char>
+    SelectionVector
     residualMask(DeviceRelation &l, DeviceRelation &r,
                  const ShapeNode &node,
                  const std::vector<std::int64_t> &li,
@@ -807,7 +789,8 @@ struct AquomanDevice::Impl
             ExprPtr e = eq(col(node.leftKeys[k]), col(node.rightKeys[k]));
             pred = pred ? andE(pred, e) : e;
         }
-        std::vector<char> pass(li.size(), pred ? 0 : 1);
+        SelectionVector pass =
+            SelectionVector::dense(static_cast<std::int64_t>(li.size()));
         if (!pred)
             return pass;
         std::vector<std::string> cols;
@@ -826,52 +809,31 @@ struct AquomanDevice::Impl
             const std::vector<std::int64_t> &idx = from_left ? li : ri;
             // The full column's flash charge; values are fetched at the
             // candidate pairs only.
-            view.addColumn(gather(side, cname, true, idx.data(),
-                                  static_cast<std::int64_t>(idx.size())));
+            view.addColumn(gather(side, cname, true, &idx));
         }
-        SelectionVector sel = SelectionVector::dense(
-            static_cast<std::int64_t>(li.size()));
-        filterSelection(pred, view, sel);
-        for (std::int64_t k = 0; k < sel.size(); ++k)
-            pass[sel[k]] = 1;
+        filterSelection(pred, view, pass);
         return pass;
     }
 
-    /** Combine two relations on matched tuple index pairs (inner). */
-    DeviceRelation
-    combine(const DeviceRelation &l, const DeviceRelation &r,
-            const std::vector<std::int64_t> &li,
-            const std::vector<std::int64_t> &ri)
+    /** Append @p r's columns to @p l, tuple by tuple (inner join). */
+    static void
+    combine(DeviceRelation &l, const DeviceRelation &r)
     {
-        DeviceRelation out;
-        out.leafRefs = l.leafRefs;
-        out.leafRefs.insert(out.leafRefs.end(), r.leafRefs.begin(),
-                            r.leafRefs.end());
-        for (const auto &ids : l.rowids)
-            out.rowids.push_back(pick(*ids, li));
-        for (const auto &ids : r.rowids)
-            out.rowids.push_back(pick(*ids, ri));
-        auto gather_data = [&](const DeviceRelation &side,
-                               const std::vector<std::int64_t> &idx) {
-            for (const auto &dc : side.dataCols) {
-                out.dataCols.push_back(dc);
-                out.dataCols.back().vals = pick(*dc.vals, idx);
-            }
-        };
-        gather_data(l, li);
-        gather_data(r, ri);
-        out.rows = static_cast<std::int64_t>(li.size());
-        out.schema = l.schema;
+        AQ_ASSERT(l.rows == r.rows);
         int leaf_off = static_cast<int>(l.leafRefs.size());
         int data_off = static_cast<int>(l.dataCols.size());
+        l.leafRefs.insert(l.leafRefs.end(), r.leafRefs.begin(),
+                          r.leafRefs.end());
+        l.rowids.insert(l.rowids.end(), r.rowids.begin(), r.rowids.end());
+        l.dataCols.insert(l.dataCols.end(), r.dataCols.begin(),
+                          r.dataCols.end());
         for (DevCol dc : r.schema) {
             if (dc.leafIdx >= 0)
                 dc.leafIdx += leaf_off;
             if (dc.dataColIdx >= 0)
                 dc.dataColIdx += data_off;
-            out.schema.push_back(dc);
+            l.schema.push_back(dc);
         }
-        return out;
     }
 
     DeviceRelation
@@ -920,19 +882,10 @@ struct AquomanDevice::Impl
                 std::int64_t key = kv.key - base;
                 std::int64_t hit =
                     key >= 0 && key < domain ? index[key] : -1;
-                if (hit >= 0) {
-                    if (probe_right) {
-                        li.push_back(kv.value);
-                        ri.push_back(hit);
-                    } else {
-                        li.push_back(hit);
-                        ri.push_back(kv.value);
-                    }
-                } else if (node.joinType == JoinType::LeftAnti
-                           && probe_right) {
-                    li.push_back(kv.value);
-                    ri.push_back(-1);
-                }
+                if (hit < 0)
+                    continue;
+                li.push_back(probe_right ? kv.value : hit);
+                ri.push_back(probe_right ? hit : kv.value);
             }
             release(slot);
         } else {
@@ -980,31 +933,17 @@ struct AquomanDevice::Impl
                                                       + rs.size())});
         }
 
-        std::vector<char> pass = residualMask(l, r, node, li, ri);
-
-        DeviceRelation out;
+        // Semi/anti keep left tuples by match status (unmatched left
+        // tuples need no candidate pair); inner appends the right side.
+        std::vector<std::int64_t> fl, fr;
+        joinOutputRows(node.joinType, li, ri,
+                       residualMask(l, r, node, li, ri), l.rows, fl, fr);
+        DeviceRelation out = l;
+        compact(out, fl);
         if (node.joinType == JoinType::Inner) {
-            std::vector<std::int64_t> fl, fr;
-            for (std::size_t k = 0; k < li.size(); ++k) {
-                if (pass[k] && ri[k] >= 0) {
-                    fl.push_back(li[k]);
-                    fr.push_back(ri[k]);
-                }
-            }
-            out = combine(l, r, fl, fr);
-        } else {
-            // Semi/anti: keep left tuples by match status.
-            std::vector<char> matched(l.rows, 0);
-            for (std::size_t k = 0; k < li.size(); ++k)
-                if (pass[k] && ri[k] >= 0)
-                    matched[li[k]] = 1;
-            bool want = node.joinType == JoinType::LeftSemi;
-            std::vector<std::int64_t> keep;
-            for (std::int64_t t = 0; t < l.rows; ++t)
-                if (static_cast<bool>(matched[t]) == want)
-                    keep.push_back(t);
-            out = l;
-            compact(out, keep);
+            DeviceRelation matched = r;
+            compact(matched, fr);
+            combine(out, matched);
         }
         pruneRelation(out, needed);
         out.dramSlot = freshSlot("tuples");
@@ -1032,27 +971,24 @@ struct AquomanDevice::Impl
 
         std::vector<NamedExpr> agg_inputs;
         std::vector<HwAgg> hw;
-        // outIdx -> (slot of value, slot of count or -1). The device
-        // path never sees NULLs, so every Count/Avg denominator equals
-        // the group's row count: all of them share ONE Cnt slot (this
-        // is how q1's eight aggregates fit eight bucket slots).
-        struct Slot { int value; int count; AggKind kind;
-                      ColumnType inType; };
+        // outIdx -> slot of value (-1 for Count). The device path never
+        // sees NULLs, so every Count/Avg denominator equals the group's
+        // row count: all of them share ONE Cnt slot (this is how q1's
+        // eight aggregates fit eight bucket slots).
+        struct Slot { int value; AggKind kind; ColumnType inType; };
         std::vector<Slot> slots;
-        int shared_cnt = -1;
+        bool shared_cnt = false;
         auto shared_count_slot = [&]() {
-            if (shared_cnt < 0) {
-                shared_cnt = static_cast<int>(hw.size());
+            if (!shared_cnt)
                 hw.push_back(HwAgg::Cnt);
-            }
-            return shared_cnt;
+            shared_cnt = true;
         };
         // transformIdx per aggregate: index into the PE program's
         // outputs (-1 for pure counts, which need no value stream).
         std::vector<int> transform_idx;
         for (const auto &a : spec.aggregates) {
             ColumnType in_type = ColumnType::Int64;
-            Slot s{-1, -1, a.kind, in_type};
+            Slot s{-1, a.kind, in_type};
             int tix = -1;
             switch (a.kind) {
               case AggKind::Sum:
@@ -1068,12 +1004,12 @@ struct AquomanDevice::Impl
                 hw.push_back(HwAgg::Max);
                 break;
               case AggKind::Count:
-                s.count = shared_count_slot();
+                shared_count_slot();
                 break;
               case AggKind::Avg:
                 s.value = static_cast<int>(hw.size());
                 hw.push_back(HwAgg::Sum);
-                s.count = shared_count_slot();
+                shared_count_slot();
                 break;
               case AggKind::CountDistinct:
                 throw SuspendError{"count(distinct) on device"};
@@ -1155,46 +1091,16 @@ struct AquomanDevice::Impl
             *c.vals = std::move(groups.ids[g]);
             out.addColumn(std::move(c));
         }
+        // No NULL reaches the device, so each group's row count is every
+        // aggregate's count of contributing inputs.
         bool empty_global = ngroups == 0 && spec.groupColumns.empty();
         for (std::size_t s = 0; s < slots.size(); ++s) {
             const Slot &slot = slots[s];
-            ColumnType out_type = slot.inType;
-            if (slot.kind == AggKind::Count)
-                out_type = ColumnType::Int64;
-            if (slot.kind == AggKind::Avg)
-                out_type = ColumnType::Decimal;
-            RelColumn c(spec.aggregates[s].name, out_type);
-            for (std::int64_t g = 0; g < ngroups; ++g) {
-                std::int64_t v = 0;
-                switch (slot.kind) {
-                  case AggKind::Sum:
-                    v = groups.aggregates[slot.value][g];
-                    break;
-                  case AggKind::Min:
-                  case AggKind::Max:
-                    v = groups.rows[g]
-                        ? groups.aggregates[slot.value][g] : kNullValue;
-                    break;
-                  case AggKind::Count:
-                    v = groups.aggregates[slot.count][g];
-                    break;
-                  case AggKind::Avg: {
-                    std::int64_t sum = groups.aggregates[slot.value][g];
-                    std::int64_t cnt = groups.aggregates[slot.count][g];
-                    if (slot.inType != ColumnType::Decimal)
-                        sum *= kDecimalScale;
-                    v = cnt ? sum / cnt : kNullValue;
-                    break;
-                  }
-                  default:
-                    break;
-                }
-                c.push(v);
-            }
-            if (empty_global) {
-                c.push(slot.kind == AggKind::Count ? 0 : kNullValue);
-            }
-            out.addColumn(std::move(c));
+            out.addColumn(finalizeAggregate(
+                spec.aggregates[s].name, slot.kind, slot.inType,
+                slot.value >= 0 ? groups.aggregates[slot.value].data()
+                                : nullptr,
+                groups.rows.data(), ngroups, empty_global));
         }
         recordTask("aggregate", &rel, rel.rows, out.numRows());
         return out;

@@ -177,28 +177,101 @@ exprCost(const ExprPtr &e)
     return cost;
 }
 
+std::vector<std::int64_t>
+gatherValues(const std::vector<std::int64_t> &src,
+             const std::vector<std::int64_t> &idx)
+{
+    std::int64_t n = static_cast<std::int64_t>(idx.size());
+    std::vector<std::int64_t> out(n);
+    // Morsels write disjoint ranges of the preallocated vector, so the
+    // gather is bit-identical for any thread count.
+    parallelFor(0, n, kMorselRows, [&](std::int64_t k0, std::int64_t k1) {
+        for (std::int64_t k = k0; k < k1; ++k)
+            out[k] = idx[k] < 0 ? kNullValue : src[idx[k]];
+    });
+    return out;
+}
+
 RelTable
 gatherRows(const RelTable &t, const std::vector<std::int64_t> &idx)
 {
-    std::int64_t n = static_cast<std::int64_t>(idx.size());
     RelTable out;
     for (int c = 0; c < t.numColumns(); ++c) {
         const RelColumn &src = t.col(c);
         RelColumn dst(src.name, src.type);
         dst.heap = src.heap;
-        dst.vals->resize(n);
-        std::vector<std::int64_t> &vals = *dst.vals;
-        // Morsels write disjoint ranges of the preallocated vector, so
-        // the gather is bit-identical for any thread count.
-        parallelFor(0, n, kMorselRows,
-                    [&](std::int64_t k0, std::int64_t k1) {
-            for (std::int64_t k = k0; k < k1; ++k) {
-                std::int64_t i = idx[k];
-                vals[k] = i < 0 ? kNullValue : src.get(i);
-            }
-        });
+        *dst.vals = gatherValues(*src.vals, idx);
         out.addColumn(std::move(dst));
     }
+    return out;
+}
+
+void
+joinOutputRows(JoinType type, const std::vector<std::int64_t> &li,
+               const std::vector<std::int64_t> &ri,
+               const SelectionVector &pass, std::int64_t left_rows,
+               std::vector<std::int64_t> &out_l,
+               std::vector<std::int64_t> &out_r)
+{
+    if (type == JoinType::Inner || type == JoinType::LeftOuter) {
+        out_l.reserve(pass.size());
+        out_r.reserve(pass.size());
+        for (std::int64_t s = 0; s < pass.size(); ++s) {
+            out_l.push_back(li[pass[s]]);
+            out_r.push_back(ri[pass[s]]);
+        }
+        if (type == JoinType::Inner)
+            return;
+    }
+    std::vector<char> matched(left_rows, 0);
+    for (std::int64_t s = 0; s < pass.size(); ++s)
+        matched[li[pass[s]]] = 1;
+    bool want = type == JoinType::LeftSemi;
+    for (std::int64_t i = 0; i < left_rows; ++i) {
+        if (static_cast<bool>(matched[i]) != want)
+            continue;
+        out_l.push_back(i);
+        if (type == JoinType::LeftOuter)
+            out_r.push_back(-1); // NULL right side
+    }
+}
+
+RelColumn
+finalizeAggregate(const std::string &name, AggKind kind, ColumnType in_type,
+                  const std::int64_t *acc, const std::int64_t *cnt,
+                  std::int64_t groups, bool empty_global)
+{
+    bool counts =
+        kind == AggKind::Count || kind == AggKind::CountDistinct;
+    ColumnType out_type = counts ? ColumnType::Int64
+        : kind == AggKind::Avg ? ColumnType::Decimal : in_type;
+    RelColumn out(name, out_type);
+    out.vals->resize(groups);
+    std::vector<std::int64_t> &vals = *out.vals;
+    for (std::int64_t g = 0; g < groups; ++g) {
+        switch (kind) {
+          case AggKind::Sum:
+            vals[g] = acc[g];
+            break;
+          case AggKind::Min:
+          case AggKind::Max:
+            vals[g] = cnt[g] ? acc[g] : kNullValue;
+            break;
+          case AggKind::Count:
+          case AggKind::CountDistinct:
+            vals[g] = cnt[g];
+            break;
+          case AggKind::Avg: {
+            std::int64_t sum = acc[g];
+            if (in_type != ColumnType::Decimal)
+                sum *= kDecimalScale;
+            vals[g] = cnt[g] ? sum / cnt[g] : kNullValue;
+            break;
+          }
+        }
+    }
+    if (empty_global)
+        vals.push_back(counts ? 0 : kNullValue);
     return out;
 }
 
@@ -501,78 +574,27 @@ Executor::execJoin(const Plan &p, const RelTable &left,
     // Apply the residual predicate over the combined candidate rows,
     // gathering only the columns it references (names are disjoint
     // across sides) at the candidate pairs.
-    std::vector<char> pass(li.size(), p.residual ? 0 : 1);
+    SelectionVector pass =
+        SelectionVector::dense(static_cast<std::int64_t>(li.size()));
     if (p.residual) {
         std::vector<std::string> need;
         collectColumns(p.residual, need);
-        const std::int64_t pairs = static_cast<std::int64_t>(li.size());
         RelTable combined;
         for (const auto &cname : need) {
             bool from_left = left.hasColumn(cname);
             const RelColumn &src = from_left ? left.col(cname)
                                              : right.col(cname);
-            const std::vector<std::int64_t> &idx = from_left ? li : ri;
             RelColumn cc(cname, src.type);
             cc.heap = src.heap;
-            cc.vals->resize(pairs);
-            std::vector<std::int64_t> &vals = *cc.vals;
-            parallelFor(0, pairs, kMorselRows,
-                        [&](std::int64_t k0, std::int64_t k1) {
-                for (std::int64_t k = k0; k < k1; ++k) {
-                    std::int64_t i = idx[k];
-                    vals[k] = i < 0 ? kNullValue : src.get(i);
-                }
-            });
+            *cc.vals = gatherValues(*src.vals, from_left ? li : ri);
             combined.addColumn(std::move(cc));
         }
-        SelectionVector sel = SelectionVector::dense(pairs);
-        filterSelection(p.residual, combined, sel);
+        filterSelection(p.residual, combined, pass);
         trace.rowOps += li.size() * exprCost(p.residual);
-        for (std::int64_t k = 0; k < sel.size(); ++k)
-            pass[sel[k]] = 1;
     }
 
     std::vector<std::int64_t> out_l, out_r;
-    switch (p.joinType) {
-      case JoinType::Inner: {
-        for (std::size_t k = 0; k < li.size(); ++k) {
-            if (pass[k]) {
-                out_l.push_back(li[k]);
-                out_r.push_back(ri[k]);
-            }
-        }
-        break;
-      }
-      case JoinType::LeftSemi:
-      case JoinType::LeftAnti: {
-        std::vector<char> matched(left.numRows(), 0);
-        for (std::size_t k = 0; k < li.size(); ++k)
-            if (pass[k])
-                matched[li[k]] = 1;
-        bool want = p.joinType == JoinType::LeftSemi;
-        for (std::int64_t i = 0; i < left.numRows(); ++i)
-            if (static_cast<bool>(matched[i]) == want)
-                out_l.push_back(i);
-        break;
-      }
-      case JoinType::LeftOuter: {
-        std::vector<char> matched(left.numRows(), 0);
-        for (std::size_t k = 0; k < li.size(); ++k) {
-            if (pass[k]) {
-                matched[li[k]] = 1;
-                out_l.push_back(li[k]);
-                out_r.push_back(ri[k]);
-            }
-        }
-        for (std::int64_t i = 0; i < left.numRows(); ++i) {
-            if (!matched[i]) {
-                out_l.push_back(i);
-                out_r.push_back(-1); // NULL right side
-            }
-        }
-        break;
-      }
-    }
+    joinOutputRows(p.joinType, li, ri, pass, left.numRows(), out_l, out_r);
 
     RelTable lg = gatherRows(left, out_l);
     if (p.joinType == JoinType::LeftSemi || p.joinType == JoinType::LeftAnti)
@@ -603,15 +625,9 @@ Executor::execGroupBy(const Plan &p, const RelTable &in)
 
     std::size_t nagg = p.aggregates.size();
 
-    // SQL: a global aggregate over an empty input yields one row
-    // (NULL for Sum/Min/Max/Avg, 0 for Count).
-    bool empty_global = p.groupColumns.empty() && in.numRows() == 0;
-
     // Group ids in row order; first-seen order defines the output
     // order, so both key representations yield identical results.
     std::vector<std::int64_t> first_rows;
-    if (empty_global)
-        first_rows.push_back(-1);
     std::vector<int> gidx(in.numRows());
     // Grouping only needs key EQUALITY, and heap interning gives every
     // distinct string one canonical offset — so varchar group columns
@@ -647,8 +663,6 @@ Executor::execGroupBy(const Plan &p, const RelTable &in)
     // accumulator value matches the row-at-a-time formulation exactly.
     std::vector<std::int64_t> accum(nagg * num_groups, 0);
     std::vector<std::int64_t> counts(nagg * num_groups, 0);
-    std::vector<std::vector<std::unordered_set<std::int64_t>>>
-        distinct(nagg);
     std::int64_t nrows = in.numRows();
     for (std::size_t a = 0; a < nagg; ++a) {
         std::int64_t *acc = accum.data() + a * num_groups;
@@ -693,19 +707,17 @@ Executor::execGroupBy(const Plan &p, const RelTable &in)
                     cnt[gidx[i]]++;
             }
             break;
-          case AggKind::CountDistinct:
-            distinct[a].resize(num_groups);
+          case AggKind::CountDistinct: {
+            std::vector<std::unordered_set<std::int64_t>> seen(num_groups);
             for (std::int64_t i = 0; i < nrows; ++i) {
-                std::int64_t v = av[i];
-                if (v == kNullValue)
-                    continue;
-                cnt[gidx[i]]++;
-                distinct[a][gidx[i]].insert(v);
+                if (av[i] != kNullValue)
+                    seen[gidx[i]].insert(av[i]);
             }
+            for (std::int64_t g = 0; g < num_groups; ++g)
+                cnt[g] = static_cast<std::int64_t>(seen[g].size());
             break;
+          }
         }
-        if (empty_global)
-            acc[0] = kNullValue;
     }
     double group_cost = in.numRows() * (4.0 + nagg);
     trace.rowOps += group_cost;
@@ -723,50 +735,18 @@ Executor::execGroupBy(const Plan &p, const RelTable &in)
         const RelColumn &src = in.col(gc);
         RelColumn dst(src.name, src.type);
         dst.heap = src.heap;
-        for (std::int64_t g = 0; g < num_groups; ++g)
-            dst.vals->push_back(src.get(first_rows[g]));
+        *dst.vals = gatherValues(*src.vals, first_rows);
         out.addColumn(std::move(dst));
     }
+    // SQL: a global aggregate over an empty input yields one row.
+    bool empty_global = gcols.empty() && num_groups == 0;
     for (std::size_t a = 0; a < nagg; ++a) {
         const AggSpec &spec = p.aggregates[a];
-        ColumnType in_type = spec.input ? agg_in[a].type : ColumnType::Int64;
-        ColumnType out_type = in_type;
-        if (spec.kind == AggKind::Count
-                || spec.kind == AggKind::CountDistinct) {
-            out_type = ColumnType::Int64;
-        } else if (spec.kind == AggKind::Avg) {
-            out_type = ColumnType::Decimal;
-        }
-        const std::int64_t *acc = accum.data() + a * num_groups;
-        const std::int64_t *cnt = counts.data() + a * num_groups;
-        RelColumn dst(spec.name, out_type);
-        for (std::int64_t g = 0; g < num_groups; ++g) {
-            std::int64_t v = 0;
-            switch (spec.kind) {
-              case AggKind::Sum:
-                v = acc[g];
-                break;
-              case AggKind::Min:
-              case AggKind::Max:
-                v = cnt[g] ? acc[g] : kNullValue;
-                break;
-              case AggKind::Count:
-                v = cnt[g];
-                break;
-              case AggKind::CountDistinct:
-                v = static_cast<std::int64_t>(distinct[a][g].size());
-                break;
-              case AggKind::Avg: {
-                std::int64_t sum = acc[g];
-                if (in_type != ColumnType::Decimal)
-                    sum *= kDecimalScale;
-                v = cnt[g] ? sum / cnt[g] : kNullValue;
-                break;
-              }
-            }
-            dst.vals->push_back(v);
-        }
-        out.addColumn(std::move(dst));
+        out.addColumn(finalizeAggregate(
+            spec.name, spec.kind,
+            spec.input ? agg_in[a].type : ColumnType::Int64,
+            accum.data() + a * num_groups, counts.data() + a * num_groups,
+            num_groups, empty_global));
     }
     return out;
 }

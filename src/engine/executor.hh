@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "columnstore/catalog.hh"
+#include "columnstore/selection_vector.hh"
 #include "engine/metrics.hh"
 #include "obs/profile.hh"
 #include "relalg/plan.hh"
@@ -25,10 +26,48 @@ namespace aquoman {
 double exprCost(const ExprPtr &e);
 
 /**
+ * The entries of @p src at positions @p idx (values or RowIDs); a
+ * negative index yields kNullValue. Runs in kMorselRows morsels on the
+ * pool, bit-identical for any thread count. The engine's row gathers
+ * and the device's tuple-table gathers all go through here.
+ */
+std::vector<std::int64_t> gatherValues(const std::vector<std::int64_t> &src,
+                                       const std::vector<std::int64_t> &idx);
+
+/**
  * Gather rows @p idx of @p t into a new relation. A negative index
  * emits a NULL row (used by outer joins).
  */
 RelTable gatherRows(const RelTable &t, const std::vector<std::int64_t> &idx);
+
+/**
+ * Turn a join's candidate pairs (@p li, @p ri) and the candidate
+ * positions @p pass its residual kept into output rows. Inner keeps the
+ * passing pairs in candidate order; LeftSemi/LeftAnti emit, in left
+ * order, the left rows with / without a passing pair (@p out_r stays
+ * empty); LeftOuter emits the passing pairs, then every left row
+ * without one paired with -1 (a NULL right side).
+ */
+void joinOutputRows(JoinType type, const std::vector<std::int64_t> &li,
+                    const std::vector<std::int64_t> &ri,
+                    const SelectionVector &pass, std::int64_t left_rows,
+                    std::vector<std::int64_t> &out_l,
+                    std::vector<std::int64_t> &out_r);
+
+/**
+ * One aggregate's output column over @p groups groups: @p acc holds the
+ * per-group accumulator (sum, min or max; unused by Count) and @p cnt
+ * the per-group count of contributing non-NULL inputs (the distinct
+ * count for CountDistinct). Count kinds yield Int64, Avg a Decimal
+ * (Int64 sums are scaled first), the rest @p in_type; Min, Max and Avg
+ * of a group without input are NULL. With @p empty_global (a global
+ * aggregate over no rows, @p groups == 0) the column is SQL's one row:
+ * 0 for the count kinds, NULL otherwise.
+ */
+RelColumn finalizeAggregate(const std::string &name, AggKind kind,
+                            ColumnType in_type, const std::int64_t *acc,
+                            const std::int64_t *cnt, std::int64_t groups,
+                            bool empty_global);
 
 /** Executes Query stages against a Catalog. */
 class Executor

@@ -187,6 +187,50 @@ TEST_F(DevicePathsTest, SemiAndAntiWithResidualOnDevice)
     }
 }
 
+TEST_F(DevicePathsTest, AntiJoinOnDensePkWithResidual)
+{
+    // e_id is a dense primary key, so the right side becomes a RowID
+    // probe; the filter leaves about half the left rows without a
+    // candidate pair, and the residual must never read a missing one.
+    for (JoinType type : {JoinType::LeftSemi, JoinType::LeftAnti}) {
+        auto kept = join(type, scan("events"),
+                         filter(scan("events", "o"),
+                                gt(col("o.e_val"), litDec("500.00"))),
+                         {"e_id"}, {"o.e_id"},
+                         lt(col("e_val"), col("o.e_val")));
+        Query q{"pk",
+                {{"out", project(kept, {{"e_id", col("e_id")},
+                                        {"e_val", col("e_val")}})}}};
+        RelTable want = baseline(q);
+        OffloadedQueryResult got = device(q);
+        ASSERT_TRUE(got.stats.suspensions.empty())
+            << got.stats.suspensions[0].detail;
+        EXPECT_EQ(canon(got.result), canon(want));
+    }
+}
+
+TEST_F(DevicePathsTest, GlobalAggregateOverEmptyInput)
+{
+    // SQL's one-row answer: Count is 0, every other aggregate NULL.
+    Query q{"none",
+            {{"out", groupBy(filter(scan("events"),
+                                    lt(col("e_val"), litDec("0.00"))),
+                             {},
+                             {{"total", AggKind::Sum, col("e_val")},
+                              {"lo", AggKind::Min, col("e_val")},
+                              {"hi", AggKind::Max, col("e_val")},
+                              {"mean", AggKind::Avg, col("e_val")},
+                              {"n", AggKind::Count, nullptr}})}}};
+    RelTable want = baseline(q);
+    OffloadedQueryResult got = device(q);
+    ASSERT_TRUE(got.stats.suspensions.empty())
+        << got.stats.suspensions[0].detail;
+    ASSERT_EQ(got.result.numRows(), 1);
+    EXPECT_EQ(got.result.col("n").get(0), 0);
+    EXPECT_EQ(got.result.col("total").get(0), kNullValue);
+    EXPECT_EQ(canon(got.result), canon(want));
+}
+
 TEST_F(DevicePathsTest, RegexAcceleratorInsideTransform)
 {
     // LIKE over the small-dictionary tag column inside a CASE: the

@@ -170,7 +170,9 @@ TEST(EncodingDeterminism, DeviceRunsAreThreadCountInvariant)
         Catalog cat;
         db.installInto(cat, store);
 
-        for (int q : {1, 6}) {
+        // q1 and q6 scan and aggregate; q3, q9 and q21 add joins,
+        // whose compaction and tuple combine run on the pool.
+        for (int q : {1, 3, 6, 9, 21}) {
             std::vector<OffloadedQueryResult> runs;
             for (int threads : {1, 4}) {
                 ThreadPool::setGlobalParallelism(threads);
@@ -187,6 +189,15 @@ TEST(EncodingDeterminism, DeviceRunsAreThreadCountInvariant)
             EXPECT_EQ(a.deviceSeconds, b.deviceSeconds) << "q" << q;
             EXPECT_EQ(a.deviceFlashBytes, b.deviceFlashBytes)
                 << "q" << q;
+            EXPECT_EQ(a.deviceDramPeak, b.deviceDramPeak) << "q" << q;
+            // EXPECT, not ASSERT: the global modes are restored below.
+            EXPECT_EQ(a.tasks.size(), b.tasks.size()) << "q" << q;
+            for (std::size_t t = 0;
+                 t < std::min(a.tasks.size(), b.tasks.size()); ++t) {
+                EXPECT_EQ(a.tasks[t].what, b.tasks[t].what) << "q" << q;
+                EXPECT_EQ(a.tasks[t].work, b.tasks[t].work)
+                    << "q" << q << " task " << a.tasks[t].what;
+            }
         }
     }
     ThreadPool::setGlobalParallelism(

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/thread_pool.hh"
 #include "engine/executor.hh"
 
 namespace aquoman {
@@ -248,6 +249,131 @@ TEST_F(ExecutorTest, UnknownStageIsFatal)
 {
     Executor ex(catalog);
     EXPECT_THROW(ex.runPlan(scanStage("nope"), {}), FatalError);
+}
+
+// The rules below are shared by the engine and the device, so a bug in
+// them hides from every device == engine comparison; each is checked
+// against hand-computed answers.
+
+TEST(JoinOutputRows, EveryJoinTypeOverSparsePass)
+{
+    // Candidates 1, 2 and 4 pass: pairs (2,1), (0,4), (2,2). Left rows
+    // 1, 3 and 4 have no passing pair (3 has a failing one).
+    const std::vector<std::int64_t> li{0, 2, 0, 3, 2};
+    const std::vector<std::int64_t> ri{5, 1, 4, 0, 2};
+    const SelectionVector pass = SelectionVector::sparse({1, 2, 4});
+    using V = std::vector<std::int64_t>;
+    const struct
+    {
+        JoinType type;
+        V l, r;
+    } cases[] = {
+        {JoinType::Inner, {2, 0, 2}, {1, 4, 2}}, // candidate order
+        {JoinType::LeftSemi, {0, 2}, {}},
+        {JoinType::LeftAnti, {1, 3, 4}, {}},
+        {JoinType::LeftOuter, {2, 0, 2, 1, 3, 4}, {1, 4, 2, -1, -1, -1}},
+    };
+    for (const auto &c : cases) {
+        V out_l, out_r;
+        joinOutputRows(c.type, li, ri, pass, 5, out_l, out_r);
+        EXPECT_EQ(out_l, c.l) << static_cast<int>(c.type);
+        EXPECT_EQ(out_r, c.r) << static_cast<int>(c.type);
+    }
+}
+
+TEST(JoinOutputRows, DensePassAndEmptyCandidates)
+{
+    using V = std::vector<std::int64_t>;
+    const V li{1, 1}, ri{0, 3};
+    V out_l, out_r;
+    joinOutputRows(JoinType::Inner, li, ri, SelectionVector::dense(2), 3,
+                   out_l, out_r);
+    EXPECT_EQ(out_l, (V{1, 1}));
+    EXPECT_EQ(out_r, (V{0, 3}));
+
+    // No candidate at all: only the anti and outer joins emit rows, in
+    // left order, the outer one with a NULL right side.
+    const V none;
+    for (JoinType type : {JoinType::Inner, JoinType::LeftSemi,
+                          JoinType::LeftAnti, JoinType::LeftOuter}) {
+        out_l.clear();
+        out_r.clear();
+        joinOutputRows(type, none, none, SelectionVector::dense(0), 3,
+                       out_l, out_r);
+        bool keeps = type == JoinType::LeftAnti
+            || type == JoinType::LeftOuter;
+        EXPECT_EQ(out_l, keeps ? V({0, 1, 2}) : V());
+        EXPECT_EQ(out_r, type == JoinType::LeftOuter ? V({-1, -1, -1}) : V());
+    }
+}
+
+TEST(FinalizeAggregate, EveryKindPerGroup)
+{
+    // Three groups; the last saw no (non-NULL) input.
+    const std::int64_t acc[] = {10, 7, 0};
+    const std::int64_t cnt[] = {2, 1, 0};
+    const std::int64_t N = kNullValue;
+    using V = std::vector<std::int64_t>;
+    const struct
+    {
+        AggKind kind;
+        ColumnType in, out;
+        V vals;
+    } cases[] = {
+        {AggKind::Sum, ColumnType::Decimal, ColumnType::Decimal, {10, 7, 0}},
+        {AggKind::Min, ColumnType::Int64, ColumnType::Int64, {10, 7, N}},
+        {AggKind::Max, ColumnType::Date, ColumnType::Date, {10, 7, N}},
+        {AggKind::Count, ColumnType::Decimal, ColumnType::Int64, {2, 1, 0}},
+        {AggKind::CountDistinct, ColumnType::Varchar, ColumnType::Int64,
+         {2, 1, 0}},
+        // Int64 sums are scaled to Decimal before the division.
+        {AggKind::Avg, ColumnType::Int64, ColumnType::Decimal, {500, 700, N}},
+        {AggKind::Avg, ColumnType::Decimal, ColumnType::Decimal, {5, 7, N}},
+    };
+    for (const auto &c : cases) {
+        RelColumn out =
+            finalizeAggregate("a", c.kind, c.in, acc, cnt, 3, false);
+        EXPECT_EQ(out.name, "a");
+        EXPECT_EQ(out.type, c.out) << static_cast<int>(c.kind);
+        EXPECT_EQ(*out.vals, c.vals) << static_cast<int>(c.kind);
+    }
+}
+
+TEST(FinalizeAggregate, EmptyGlobalIsOneRow)
+{
+    for (AggKind kind : {AggKind::Sum, AggKind::Min, AggKind::Max,
+                         AggKind::Count, AggKind::Avg,
+                         AggKind::CountDistinct}) {
+        RelColumn out = finalizeAggregate("a", kind, ColumnType::Decimal,
+                                          nullptr, nullptr, 0, true);
+        bool counts =
+            kind == AggKind::Count || kind == AggKind::CountDistinct;
+        ASSERT_EQ(out.size(), 1) << static_cast<int>(kind);
+        EXPECT_EQ(out.get(0), counts ? 0 : kNullValue);
+    }
+    // Without the flag, no group means no row.
+    EXPECT_EQ(finalizeAggregate("a", AggKind::Count, ColumnType::Int64,
+                                nullptr, nullptr, 0, false).size(), 0);
+}
+
+TEST(GatherValues, NegativeIndicesAndRaggedMorselsAtAnyThreadCount)
+{
+    std::vector<std::int64_t> src(1000);
+    for (std::int64_t i = 0; i < 1000; ++i)
+        src[i] = i * 3 + 1;
+    // Three full morsels and a ragged tail, every 7th index negative.
+    const std::int64_t n = 3 * kMorselRows + 123;
+    std::vector<std::int64_t> idx(n), want(n);
+    for (std::int64_t k = 0; k < n; ++k) {
+        idx[k] = k % 7 == 0 ? -1 : (k * 37) % 1000;
+        want[k] = idx[k] < 0 ? kNullValue : src[idx[k]];
+    }
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalParallelism(threads);
+        EXPECT_EQ(gatherValues(src, idx), want) << threads << " threads";
+    }
+    ThreadPool::setGlobalParallelism(ThreadPool::configuredParallelism());
+    EXPECT_TRUE(gatherValues(src, {}).empty());
 }
 
 } // namespace
