@@ -185,7 +185,8 @@ gatherValues(const std::vector<std::int64_t> &src,
     std::vector<std::int64_t> out(n);
     // Morsels write disjoint ranges of the preallocated vector, so the
     // gather is bit-identical for any thread count.
-    parallelFor(0, n, kMorselRows, [&](std::int64_t k0, std::int64_t k1) {
+    std::int64_t grain = n < kGatherFanoutRows ? n : kMorselRows;
+    parallelFor(0, n, grain, [&](std::int64_t k0, std::int64_t k1) {
         for (std::int64_t k = k0; k < k1; ++k)
             out[k] = idx[k] < 0 ? kNullValue : src[idx[k]];
     });

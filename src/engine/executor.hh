@@ -15,6 +15,7 @@
 
 #include "columnstore/catalog.hh"
 #include "columnstore/selection_vector.hh"
+#include "common/thread_pool.hh"
 #include "engine/metrics.hh"
 #include "obs/profile.hh"
 #include "relalg/plan.hh"
@@ -26,10 +27,21 @@ namespace aquoman {
 double exprCost(const ExprPtr &e);
 
 /**
+ * Gathers at least this long fan out on the pool. A gather is one load
+ * and one store per row (about 1 ns), so below a few morsels waking the
+ * workers costs what it saves, and every fork/join is a point where the
+ * caller waits for the slowest worker. On a 4-vCPU VM a 2-morsel gather
+ * took 45 us fanned out against 26 us inline; at 8 morsels fanning out
+ * was 1.5x faster.
+ */
+constexpr std::int64_t kGatherFanoutRows = 8 * kMorselRows;
+
+/**
  * The entries of @p src at positions @p idx (values or RowIDs); a
- * negative index yields kNullValue. Runs in kMorselRows morsels on the
- * pool, bit-identical for any thread count. The engine's row gathers
- * and the device's tuple-table gathers all go through here.
+ * negative index yields kNullValue. From kGatherFanoutRows on it runs
+ * in kMorselRows morsels on the pool, bit-identical for any thread
+ * count. The engine's row gathers and the device's tuple-table gathers
+ * all go through here.
  */
 std::vector<std::int64_t> gatherValues(const std::vector<std::int64_t> &src,
                                        const std::vector<std::int64_t> &idx);

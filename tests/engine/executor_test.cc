@@ -361,16 +361,20 @@ TEST(GatherValues, NegativeIndicesAndRaggedMorselsAtAnyThreadCount)
     std::vector<std::int64_t> src(1000);
     for (std::int64_t i = 0; i < 1000; ++i)
         src[i] = i * 3 + 1;
-    // Three full morsels and a ragged tail, every 7th index negative.
-    const std::int64_t n = 3 * kMorselRows + 123;
-    std::vector<std::int64_t> idx(n), want(n);
-    for (std::int64_t k = 0; k < n; ++k) {
-        idx[k] = k % 7 == 0 ? -1 : (k * 37) % 1000;
-        want[k] = idx[k] < 0 ? kNullValue : src[idx[k]];
-    }
-    for (int threads : {1, 4}) {
-        ThreadPool::setGlobalParallelism(threads);
-        EXPECT_EQ(gatherValues(src, idx), want) << threads << " threads";
+    // Every 7th index negative. The long gather fans out in full
+    // morsels plus a ragged tail; the short one runs inline.
+    for (std::int64_t n : {kGatherFanoutRows + 3 * kMorselRows + 123,
+                           3 * kMorselRows + 123}) {
+        std::vector<std::int64_t> idx(n), want(n);
+        for (std::int64_t k = 0; k < n; ++k) {
+            idx[k] = k % 7 == 0 ? -1 : (k * 37) % 1000;
+            want[k] = idx[k] < 0 ? kNullValue : src[idx[k]];
+        }
+        for (int threads : {1, 4}) {
+            ThreadPool::setGlobalParallelism(threads);
+            EXPECT_EQ(gatherValues(src, idx), want)
+                << n << " rows, " << threads << " threads";
+        }
     }
     ThreadPool::setGlobalParallelism(ThreadPool::configuredParallelism());
     EXPECT_TRUE(gatherValues(src, {}).empty());
