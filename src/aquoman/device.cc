@@ -1,6 +1,7 @@
 #include "aquoman/device.hh"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -23,6 +24,13 @@
 namespace aquoman {
 
 namespace {
+
+/**
+ * Rows the group-by transforms and feeds at a time: whole PE-batch
+ * morsels, so a query holds one chunk of transform outputs instead of
+ * one column per aggregate input over the whole relation.
+ */
+constexpr std::int64_t kGroupFeedRows = kPeBatchRows;
 
 /** Raised when the device must hand the query back to the host. */
 struct SuspendError
@@ -267,7 +275,7 @@ struct AquomanDevice::Impl
         const Column &src = entry.table->col(dc.baseColumn);
         // String payloads stream from the column's own heap.
         std::int64_t heap = src.type() == ColumnType::Varchar
-            ? columnHeapBytes(entry, dc.baseColumn) : 0;
+            ? columnHeapInfo(entry, dc.baseColumn).heapBytes : 0;
         WorkItem w{.width = columnTypeWidth(src.type()),
                    .rows = rel.rows,
                    .tableRows = entry.table->numRows(),
@@ -282,47 +290,60 @@ struct AquomanDevice::Impl
         accrue(w);
     }
 
+    /** Receives rows [b, e) of a transform: one column of e - b
+     *  values per program output. */
+    using TransformSink = std::function<void(
+        std::int64_t b, std::int64_t e,
+        std::vector<std::vector<std::int64_t>> &outs)>;
+
     /**
-     * Run a compiled Row Transformation Program over @p rows rows; one
-     * output column per program output. Batched, the kernel is compiled once per Table Task and
-     * executed column-at-a-time over contiguous kPeBatchRows morsels of
-     * flat buffers; with AQUOMAN_BATCH=0 every row goes through
-     * @p array one at a time. Both are bit-identical (the kernel falls
-     * back to the per-row loop for programs with cross-row state).
+     * Run a compiled Row Transformation Program over @p rows rows of
+     * @p inputs, handing @p sink @p chunk rows at a time. Batched, the
+     * kernel is compiled once per call and executed column-at-a-time
+     * over contiguous kPeBatchRows morsels of flat buffers; with
+     * AQUOMAN_BATCH=0 every row goes through @p array one at a time.
+     * Both are bit-identical at any chunk size: the kernel keeps no
+     * cross-morsel state, and its per-row fallback for programs with
+     * cross-row state, like @p array, lives for the whole call.
      */
-    std::vector<std::vector<std::int64_t>>
+    void
     runTransform(const CompiledTransform &ct, SystolicArray &array,
-                 const std::vector<RelColumn> &inputs, std::int64_t rows)
+                 const std::vector<RelColumn> &inputs, std::int64_t rows,
+                 std::int64_t chunk, const TransformSink &sink)
     {
-        std::vector<std::vector<std::int64_t>> outs(
-            ct.outputTypes.size(), std::vector<std::int64_t>(rows));
-        if (!batchExecutionEnabled()) {
-            std::vector<std::int64_t> row_in, row_out;
-            for (std::int64_t r = 0; r < rows; ++r) {
-                row_in.clear();
-                for (const auto &ic : inputs)
-                    row_in.push_back(ic.get(r));
-                array.runRow(row_in, row_out);
-                for (std::size_t o = 0; o < outs.size(); ++o)
-                    outs[o][r] = row_out[o];
-            }
-            return outs;
-        }
-        PeBatchKernel kernel(ct.programs,
-                             static_cast<int>(inputs.size()));
-        std::vector<const std::int64_t *> in_ptrs(inputs.size());
-        std::vector<std::int64_t *> out_ptrs(outs.size());
+        std::optional<PeBatchKernel> kernel;
+        if (batchExecutionEnabled())
+            kernel.emplace(ct.programs, static_cast<int>(inputs.size()));
         const std::int64_t morsel = peBatchMorselRows();
-        for (std::int64_t b = 0; b < rows; b += morsel) {
-            std::int64_t e = std::min(rows, b + morsel);
-            for (std::size_t i = 0; i < inputs.size(); ++i)
-                in_ptrs[i] = inputs[i].vals->data() + b;
-            for (std::size_t o = 0; o < outs.size(); ++o)
-                out_ptrs[o] = outs[o].data() + b;
-            kernel.run(in_ptrs.data(), e - b, out_ptrs.data(),
-                       static_cast<int>(outs.size()));
+        std::vector<std::int64_t> row_in, row_out;
+        std::vector<const std::int64_t *> in_ptrs(inputs.size());
+        std::vector<std::int64_t *> out_ptrs(ct.outputTypes.size());
+        for (std::int64_t b = 0; b < rows; b += chunk) {
+            std::int64_t e = std::min(rows, b + chunk);
+            std::vector<std::vector<std::int64_t>> outs(
+                ct.outputTypes.size(), std::vector<std::int64_t>(e - b));
+            if (!kernel) {
+                for (std::int64_t r = b; r < e; ++r) {
+                    row_in.clear();
+                    for (const auto &ic : inputs)
+                        row_in.push_back(ic.get(r));
+                    array.runRow(row_in, row_out);
+                    for (std::size_t o = 0; o < outs.size(); ++o)
+                        outs[o][r - b] = row_out[o];
+                }
+            } else {
+                for (std::int64_t m = b; m < e; m += morsel) {
+                    std::int64_t me = std::min(e, m + morsel);
+                    for (std::size_t i = 0; i < inputs.size(); ++i)
+                        in_ptrs[i] = inputs[i].vals->data() + m;
+                    for (std::size_t o = 0; o < outs.size(); ++o)
+                        out_ptrs[o] = outs[o].data() + (m - b);
+                    kernel->run(in_ptrs.data(), me - m, out_ptrs.data(),
+                                static_cast<int>(outs.size()));
+                }
+            }
+            sink(b, e, outs);
         }
-        return outs;
     }
 
     /** Materialise the visible columns as a host RelTable (DMA'd). */
@@ -371,6 +392,20 @@ struct AquomanDevice::Impl
                 || e->kind == ExprKind::InList);
     }
 
+    /** A leaf's scan columns: on a base table, an empty list means
+     *  every column. */
+    std::vector<std::string>
+    scanColumns(const LeafInfo &leaf) const
+    {
+        if (!leaf.columns.empty() || leaf.table.empty())
+            return leaf.columns;
+        const Table &t = baseTable(leaf.table);
+        std::vector<std::string> cols;
+        for (int i = 0; i < t.numColumns(); ++i)
+            cols.push_back(t.col(i).name());
+        return cols;
+    }
+
     DeviceRelation
     makeBaseLeaf(const LeafInfo &leaf)
     {
@@ -382,12 +417,7 @@ struct AquomanDevice::Impl
             (*ids)[i] = i;
         rel.rowids.push_back(std::move(ids));
         rel.rows = t.numRows();
-        std::vector<std::string> cols = leaf.columns;
-        if (cols.empty()) {
-            for (int i = 0; i < t.numColumns(); ++i)
-                cols.push_back(t.col(i).name());
-        }
-        for (const auto &c : cols) {
+        for (const auto &c : scanColumns(leaf)) {
             DevCol dc;
             dc.name = leaf.alias.empty() ? c : leaf.alias + "." + c;
             dc.type = t.col(c).type();
@@ -618,7 +648,12 @@ struct AquomanDevice::Impl
             for (const auto &icol : ct.inputColumns)
                 inputs.push_back(gather(rel, icol, true));
             SystolicArray array = ct.buildArray();
-            auto outs = runTransform(ct, array, inputs, rel.rows);
+            std::vector<std::vector<std::int64_t>> outs(
+                ct.outputTypes.size());
+            runTransform(ct, array, inputs, rel.rows, rel.rows,
+                         [&](std::int64_t, std::int64_t, auto &o) {
+                             outs = std::move(o);
+                         });
             stats.transformedRows += rel.rows;
             accrue({.kind = WorkKind::Transform,
                     .programLen = array.maxProgramLength(),
@@ -1055,21 +1090,31 @@ struct AquomanDevice::Impl
         GroupByAccelerator gb(config,
                               static_cast<int>(spec.groupColumns.size()),
                               hw);
-        // The transform runs over the whole relation first; the
-        // accelerator then takes the group and value columns directly,
-        // in row order, so spill behaviour matches a per-row feed.
-        std::vector<std::vector<std::int64_t>> tcols;
-        if (array)
-            tcols = runTransform(*ct, *array, inputs, rel.rows);
-        std::vector<const std::int64_t *> id_cols;
-        for (const auto &gc : group_cols)
-            id_cols.push_back(gc.vals->data());
+        // The transform runs one chunk of rows at a time, and the
+        // accelerator takes each chunk's group and value columns
+        // directly, in row order, so spill behaviour matches a per-row
+        // feed while only one chunk of transform outputs is live.
+        std::vector<const std::int64_t *> id_cols(group_cols.size());
         std::vector<const std::int64_t *> val_cols(hw.size(), nullptr);
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-            if (slots[s].value >= 0)
-                val_cols[slots[s].value] = tcols[transform_idx[s]].data();
+        auto feed = [&](std::int64_t b, std::int64_t e,
+                        std::vector<std::vector<std::int64_t>> &tcols) {
+            for (std::size_t g = 0; g < group_cols.size(); ++g)
+                id_cols[g] = group_cols[g].vals->data() + b;
+            for (std::size_t s = 0; s < slots.size(); ++s) {
+                if (slots[s].value >= 0)
+                    val_cols[slots[s].value] =
+                        tcols[transform_idx[s]].data();
+            }
+            gb.update(id_cols, val_cols, e - b);
+        };
+        if (array) {
+            runTransform(*ct, *array, inputs, rel.rows, kGroupFeedRows,
+                         feed);
+        } else {
+            // Counts only: no value stream, one feed of every row.
+            std::vector<std::vector<std::int64_t>> none;
+            feed(0, rel.rows, none);
         }
-        gb.update(id_cols, val_cols, rel.rows);
         stats.transformedRows += rel.rows;
         // Without aggregate inputs, each row vector still takes one
         // cycle to feed the accelerator.
@@ -1188,7 +1233,7 @@ struct AquomanDevice::Impl
         }
         if (!narrow) {
             for (const auto &leaf : shape.leaves) {
-                for (const auto &c : leaf.columns) {
+                for (const auto &c : scanColumns(leaf)) {
                     needed.insert(leaf.alias.empty()
                                       ? c : leaf.alias + "." + c);
                 }

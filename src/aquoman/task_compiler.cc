@@ -15,42 +15,14 @@ baseColumnName(const std::string &name)
     return dot == std::string::npos ? name : name.substr(dot + 1);
 }
 
-/**
- * Per-column string-heap statistics: total unique-string bytes and the
- * distinct-to-row ratio. Determines regex-accelerator cacheability.
- */
-struct ColumnHeapInfo
-{
-    std::int64_t heapBytes = 0;
-    std::int64_t distinct = 0;
-    std::int64_t rows = 0;
-};
-
-ColumnHeapInfo
-columnHeapInfo(const Table &t, const std::string &column)
-{
-    ColumnHeapInfo info;
-    const Column &c = t.col(column);
-    info.rows = c.size();
-    std::set<std::int64_t> offsets;
-    for (std::int64_t i = 0; i < c.size(); ++i)
-        offsets.insert(c.get(i));
-    info.distinct = static_cast<std::int64_t>(offsets.size());
-    for (std::int64_t off : offsets) {
-        info.heapBytes += static_cast<std::int64_t>(
-            t.strings().get(off).size()) + 1;
-    }
-    return info;
-}
-
 /** Find which catalog table owns @p column (TPC-H names are unique). */
-const Table *
+const CatalogEntry *
 ownerTable(const Catalog &cat, const std::string &column)
 {
     std::string base = baseColumnName(column);
     for (const auto &[name, entry] : cat.all()) {
         if (entry.table->hasColumn(base))
-            return entry.table.get();
+            return &entry;
     }
     return nullptr;
 }
@@ -231,12 +203,12 @@ TaskCompiler::likeOverBigHeap(const ExprPtr &e, const LeafInfo &,
             return true;
         }
         const std::string &cname = l->children[0]->column;
-        const Table *t = ownerTable(catalog, cname);
-        if (!t) {
+        const CatalogEntry *owner = ownerTable(catalog, cname);
+        if (!owner) {
             why = "LIKE over unknown column " + cname;
             return true;
         }
-        ColumnHeapInfo info = columnHeapInfo(*t, baseColumnName(cname));
+        ColumnHeapInfo info = columnHeapInfo(*owner, baseColumnName(cname));
         // Cacheable iff the column's heap fits the regex accelerator's
         // 1MB string cache and the column is dictionary-like (distinct
         // values well below row count). Unique-ish columns (comments,

@@ -12,12 +12,22 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "columnstore/flash_layout.hh"
 
 namespace aquoman {
+
+/** String-heap footprint of one column (all zero but @c rows unless
+ *  the column is varchar). */
+struct ColumnHeapInfo
+{
+    std::int64_t heapBytes = 0; ///< its distinct strings, +1 byte each
+    std::int64_t distinct = 0;  ///< distinct strings
+    std::int64_t rows = 0;
+};
 
 /** Per-table catalog entry. */
 struct CatalogEntry
@@ -37,24 +47,32 @@ struct CatalogEntry
      */
     std::map<std::string, std::string> fkRowIdTargets;
 
-    /** Lazily computed per-varchar-column heap footprints. */
-    mutable std::map<std::string, std::int64_t> columnHeapCache;
+    /**
+     * Per-column string-heap statistics, computed on first use under
+     * @c heapInfoMu: concurrent device runs and compiles share one
+     * catalog.
+     */
+    mutable std::map<std::string, ColumnHeapInfo> heapInfoCache;
+    mutable std::mutex heapInfoMu;
 };
 
 /**
- * Bytes of string heap reachable from @p column of @p entry's table
- * (the sum of its distinct strings). Cached: the value prices scans of
- * one varchar column without charging the whole table heap.
+ * String-heap statistics of @p column of @p entry's table, cached per
+ * (table, column). They price scans of one varchar column without
+ * charging the whole table heap, and decide whether a LIKE fits the
+ * regex accelerator's string cache.
  */
-inline std::int64_t
-columnHeapBytes(const CatalogEntry &entry, const std::string &column)
+inline ColumnHeapInfo
+columnHeapInfo(const CatalogEntry &entry, const std::string &column)
 {
-    auto it = entry.columnHeapCache.find(column);
-    if (it != entry.columnHeapCache.end())
+    std::lock_guard<std::mutex> lock(entry.heapInfoMu);
+    auto it = entry.heapInfoCache.find(column);
+    if (it != entry.heapInfoCache.end())
         return it->second;
     const Table &t = *entry.table;
     const Column &c = t.col(column);
-    std::int64_t bytes = 0;
+    ColumnHeapInfo info;
+    info.rows = c.size();
     if (c.type() == ColumnType::Varchar) {
         std::vector<std::int64_t> offsets(c.size());
         for (std::int64_t i = 0; i < c.size(); ++i)
@@ -62,13 +80,14 @@ columnHeapBytes(const CatalogEntry &entry, const std::string &column)
         std::sort(offsets.begin(), offsets.end());
         offsets.erase(std::unique(offsets.begin(), offsets.end()),
                       offsets.end());
+        info.distinct = static_cast<std::int64_t>(offsets.size());
         for (std::int64_t off : offsets) {
-            bytes += static_cast<std::int64_t>(
+            info.heapBytes += static_cast<std::int64_t>(
                 t.strings().get(off).size()) + 1;
         }
     }
-    entry.columnHeapCache[column] = bytes;
-    return bytes;
+    entry.heapInfoCache.emplace(column, info);
+    return info;
 }
 
 /** Name-indexed collection of catalog entries. */
@@ -84,6 +103,8 @@ class Catalog
         CatalogEntry &e = entries[name];
         e.table = std::move(table);
         e.resident = std::move(resident);
+        std::lock_guard<std::mutex> lock(e.heapInfoMu);
+        e.heapInfoCache.clear(); // a re-registered table's heap differs
         return e;
     }
 

@@ -489,7 +489,7 @@ Executor::execScan(const Plan &p,
         }
         trace.touchedBaseBytes += c.storedBytes();
         if (c.type() == ColumnType::Varchar) {
-            std::int64_t hb = columnHeapBytes(entry, name);
+            std::int64_t hb = columnHeapInfo(entry, name).heapBytes;
             if (flashSwitch) {
                 trace.flashBytesRead += hb;
                 if (!entry.resident)

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <iostream>
 #include <map>
 #include <queue>
@@ -12,6 +13,7 @@
 
 #include "aquoman/query_profile.hh"
 #include "common/env_options.hh"
+#include "common/thread_pool.hh"
 #include "engine/executor.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -56,6 +58,32 @@ QueryRecord::formatLifecycle() const
 }
 
 namespace {
+
+/**
+ * Most functional device runs held ahead of admission: the look-ahead
+ * window (DESIGN.md §9). It is a constant, not the pool size, so which
+ * queries run ahead, and how many runs failed reservations discard, is
+ * the same at every AQUOMAN_THREADS value. 16 rather than 32: on
+ * perfbench service_overload (SF 0.02, 4 vCPUs, three alternating
+ * runs each) both gave 539-540 queries/s and the same peak RSS, since
+ * 16 runs already keep every worker busy; the smaller window holds
+ * half the results and loses fewer runs to failed reservations.
+ */
+constexpr std::size_t kSpeculationWindow = 16;
+
+/**
+ * One query's functional device run, made on the pool before its
+ * admission. It accounts into a private switch, so no shared ledger
+ * moves before the run is joined at admission.
+ */
+struct AheadRun
+{
+    explicit AheadRun(FlashDevice &flash) : sw(flash) {}
+
+    ControllerSwitch sw;
+    OffloadedQueryResult out;
+    std::exception_ptr error; ///< rethrown when the run is joined
+};
 
 /** One per-device slice of a Table Task. */
 struct SubTask
@@ -168,6 +196,8 @@ struct QueryService::Impl
         std::size_t nextStep = 0;
         std::int64_t reservedBytes = 0;
         int queryTrack = -1; ///< lifecycle trace track (lazy)
+        /// Device run made ahead of admission (null until started).
+        std::unique_ptr<AheadRun> ahead;
 
         /// Wait-ledger bookkeeping: the class the open interval will
         /// be accounted under, when it opened, and how many of this
@@ -539,6 +569,19 @@ struct QueryService::Impl
 #endif
     }
 
+    /**
+     * Drop what only execution reads (plan, compilation, schedule) once
+     * @p e is shed or done: a replay holds thousands of finished
+     * queries, and only their records are read again.
+     */
+    static void
+    releaseWork(QueryExec &e)
+    {
+        e.query = Query{};
+        e.comp = QueryCompilation{};
+        std::vector<TaskStep>().swap(e.steps);
+    }
+
     // -- admission -----------------------------------------------------
 
     /**
@@ -562,6 +605,7 @@ struct QueryService::Impl
         flightNote("shed", queryLabel(e),
                    "tenant=" + t.cfg.name + " " + why);
         shedIds.push_back(e.rec.id);
+        releaseWork(e);
         if (onComplete)
             onComplete(e.rec);
     }
@@ -685,7 +729,10 @@ struct QueryService::Impl
         std::string slot = "service.q" + std::to_string(qid);
         if (!anchor.dram->allocate(slot, want)) {
             // Admission-time suspension: no device DRAM for this
-            // query's intermediates — the host runs it whole.
+            // query's intermediates — the host runs it whole, and a
+            // device run made ahead for it is discarded unseen.
+            if (takeAhead(e))
+                ++discardedRuns;
             e.rec.suspendReason = obs::SuspendReason::AdmissionDram;
             flightNote("admit-fail", queryLabel(e),
                        "no DRAM on " + deviceName(e.rec.anchorDevice)
@@ -700,7 +747,7 @@ struct QueryService::Impl
         flightNote("admit", queryLabel(e),
                    "anchor=" + deviceName(e.rec.anchorDevice)
                        + " dram=" + std::to_string(want));
-        runOnDevice(e, want);
+        runOnDevice(e);
     }
 
     /** Paper suspension path: the host executes the entire query. */
@@ -727,20 +774,30 @@ struct QueryService::Impl
         beginHostFinish(e, e.rec.metrics, /*dma_bytes=*/0);
     }
 
-    /** Normal path: run functionally now, then schedule the trace. */
+    /**
+     * Normal path: join the query's functional device run (making it
+     * now if it was not made ahead), then schedule its trace. The
+     * run's switch traffic lands on the anchor's ledgers here, and its
+     * exception, if any, is rethrown here: the same query, at the same
+     * point of drain(), as a run made at admission.
+     */
     void
-    runOnDevice(QueryExec &e, std::int64_t dram_reservation)
+    runOnDevice(QueryExec &e)
     {
         TraceGroupScope group(tracer, sampling(), e.rec.id);
         logState(e, QueryState::Running);
 
-        DeviceNode &anchor = *devices[e.rec.anchorDevice];
-        AquomanConfig dev_cfg = cfg.device;
-        dev_cfg.dramBytes = dram_reservation;
-        if (tracer.enabled())
-            dev_cfg.traceLabel = tracePrefix + queryLabel(e);
-        AquomanDevice dev(catalog_, *anchor.sw, dev_cfg);
-        OffloadedQueryResult r = dev.runQuery(e.query);
+        if (!e.ahead)
+            runAhead(e);
+        std::unique_ptr<AheadRun> run = takeAhead(e);
+        ControllerSwitch &sw = *devices[e.rec.anchorDevice]->sw;
+        for (FlashPort port : {FlashPort::Host, FlashPort::Aquoman}) {
+            sw.accountRead(port, run->sw.bytesRead(port));
+            sw.accountWrite(port, run->sw.bytesWritten(port));
+        }
+        if (run->error)
+            std::rethrow_exception(run->error);
+        OffloadedQueryResult &r = run->out;
         e.rec.result = std::move(r.result);
         e.rec.stats = std::move(r.stats);
         e.comp = std::move(r.compilation);
@@ -754,6 +811,76 @@ struct QueryService::Impl
             return;
         }
         enqueueStep(e);
+    }
+
+    /**
+     * Make @p first's device run now, together with the runs of up to
+     * kSpeculationWindow - 1 queued queries that have none (tenant
+     * queue fronts first, then the next in line), as one task group on
+     * the pool; at most kSpeculationWindow runs are held at once. A
+     * run depends only on its query, perQueryDram and the read-only
+     * catalog, and a queued query is always admitted later (shedding
+     * happens only at arrival), so a run is wasted only when its
+     * anchor reservation fails. Runs start only from an admission
+     * whose reservation succeeded, so a reservation larger than device
+     * DRAM never runs ahead. While tracing, the window is 1: the
+     * tracer's ambient group is process-global, and concurrent runs
+     * would stamp each other's spans.
+     */
+    void
+    runAhead(QueryExec &first)
+    {
+        std::size_t window = tracer.enabled() ? 1 : kSpeculationWindow;
+        std::vector<QueryExec *> batch{&first};
+        for (std::size_t depth = 0; aheadHeld + batch.size() < window;
+             ++depth) {
+            bool deeper = false;
+            for (const TenantState &t : tenants) {
+                if (depth >= t.queue.size())
+                    continue;
+                deeper = true;
+                QueryExec &q = execs[t.queue[depth]];
+                if (!q.ahead && aheadHeld + batch.size() < window)
+                    batch.push_back(&q);
+            }
+            if (!deeper)
+                break;
+        }
+        TaskGroup group;
+        for (QueryExec *q : batch) {
+            // Every device shares one flash config, which is all a run
+            // reads of its switch besides the ledgers.
+            q->ahead = std::make_unique<AheadRun>(*devices[0]->flash);
+            ++aheadHeld;
+            group.run([this, q] { runFunctional(*q); });
+        }
+        group.wait();
+    }
+
+    /** Pool task: @p e's functional device run into e.ahead. */
+    void
+    runFunctional(QueryExec &e)
+    {
+        AheadRun &run = *e.ahead;
+        try {
+            AquomanConfig dev_cfg = cfg.device;
+            dev_cfg.dramBytes = perQueryDram;
+            if (tracer.enabled())
+                dev_cfg.traceLabel = tracePrefix + queryLabel(e);
+            AquomanDevice dev(catalog_, run.sw, dev_cfg);
+            run.out = dev.runQuery(e.query);
+        } catch (...) {
+            run.error = std::current_exception();
+        }
+    }
+
+    /** Detach @p e's run-ahead result (null when it has none). */
+    std::unique_ptr<AheadRun>
+    takeAhead(QueryExec &e)
+    {
+        if (e.ahead)
+            --aheadHeld;
+        return std::move(e.ahead);
     }
 
     /**
@@ -1002,6 +1129,7 @@ struct QueryService::Impl
         }
         --running;
         completed.push_back(e.rec.id);
+        releaseWork(e);
         tryAdmit();
         if (onComplete)
             onComplete(e.rec);
@@ -1070,6 +1198,8 @@ struct QueryService::Impl
     std::int64_t nextQueryId = 0;
     std::int64_t admissionCounter = 0;
     int running = 0;
+    std::size_t aheadHeld = 0;      ///< runs made ahead, not yet joined
+    std::int64_t discardedRuns = 0; ///< dropped at a failed reservation
 
     obs::SimTracer &tracer = obs::SimTracer::global();
     std::string tracePrefix;
@@ -1217,6 +1347,7 @@ QueryService::aggregate() const
         ts.shed = t.shedCount;
         s.tenants.push_back(std::move(ts));
     }
+    s.discardedSpeculativeRuns = impl->discardedRuns;
     s.blame = impl->blame;
     s.contentionWaitSec = s.blame.total();
     for (std::size_t ti = 0; ti < s.tenants.size(); ++ti)

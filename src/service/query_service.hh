@@ -18,9 +18,11 @@
  * Determinism contract (DESIGN.md §9): scheduling runs as a serial
  * discrete-event simulation in modelled time with (time, sequence)
  * event ordering, and every per-query decision depends only on
- * admission order — never on wall-clock or thread count. For a fixed
- * schedule seed, all results, metrics, and modelled times are
- * bit-identical for every AQUOMAN_THREADS value.
+ * admission order — never on wall-clock or thread count. Queued
+ * queries' functional device runs are made ahead on the thread pool
+ * and joined at admission. For a fixed schedule seed, all results,
+ * metrics, ledgers and modelled times are bit-identical for every
+ * AQUOMAN_THREADS value.
  */
 
 #ifndef AQUOMAN_SERVICE_QUERY_SERVICE_HH
@@ -377,6 +379,13 @@ struct ServiceStats
 
     /** blame.total(): all contention-seconds across tenants. */
     double contentionWaitSec = 0.0;
+
+    /**
+     * Device runs made ahead of admission and then discarded because
+     * the query's anchor DRAM reservation failed (the host ran it).
+     * Wall-clock bookkeeping only: kept out of every report.
+     */
+    std::int64_t discardedSpeculativeRuns = 0;
 };
 
 /**

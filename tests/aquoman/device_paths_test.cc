@@ -376,5 +376,22 @@ TEST_F(DevicePathsTest, DmaAccountedWhenHostConsumesDeviceStage)
     EXPECT_GT(got.stats.dmaBytes, 0);
 }
 
+TEST_F(DevicePathsTest, ColumnLessScansKeepEveryColumnThroughAJoin)
+{
+    // No projection and no group-by: the join output is the stage's
+    // answer, so scans without a column list must keep every column
+    // rather than being pruned down to their RowIDs.
+    Query q{"wide",
+            {{"out", join(JoinType::Inner, scan("events"), scan("codes"),
+                          {"e_code"}, {"c_code"})}}};
+    RelTable want = baseline(q);
+    OffloadedQueryResult got = device(q);
+    EXPECT_EQ(got.stats.deviceStages, std::vector<std::string>{"out"});
+    ASSERT_EQ(got.result.numColumns(), want.numColumns());
+    for (int c = 0; c < want.numColumns(); ++c)
+        EXPECT_EQ(got.result.col(c).name, want.col(c).name);
+    EXPECT_EQ(canon(got.result), canon(want));
+}
+
 } // namespace
 } // namespace aquoman

@@ -4,8 +4,10 @@
  * work metrics to the same queries run one-at-a-time on a fresh
  * service (and to the baseline engine), for every AQUOMAN_THREADS
  * value; forced suspensions complete correctly through the host path;
- * admission control produces queue wait; and modelled throughput
- * scales monotonically with the device count.
+ * admission control produces queue wait; modelled throughput
+ * scales monotonically with the device count; and device runs made
+ * ahead of admission on the pool leave every record, ledger and SLO
+ * timeline exactly as runs made at admission do.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +19,11 @@
 
 #include "common/thread_pool.hh"
 #include "engine/executor.hh"
+#include "obs/trace.hh"
 #include "service/query_service.hh"
 #include "tpch/dbgen.hh"
 #include "tpch/queries.hh"
+#include "workload/tpch_params.hh"
 
 namespace aquoman::service {
 namespace {
@@ -146,6 +150,130 @@ runConcurrent(int num_devices, int admission_limit)
         run.doneSec.push_back(run.svc->record(id).doneSec);
     run.makespan = run.svc->aggregate().makespanSec;
     return run;
+}
+
+/**
+ * A backlogged three-tenant run: bursts of q1/q3/q6/q13/q14 instances
+ * against two admission slots, so tenant queues stay deep and device
+ * runs are made ahead of admission. With @p traced the simulation
+ * tracer is on, which makes every run at its admission instead. When
+ * @p poison >= 0, arrival @p poison is replaced by a query whose run
+ * throws, and the thrown message lands in @p error.
+ */
+std::unique_ptr<QueryService>
+runBacklog(int threads, bool traced, int num_devices,
+           std::int64_t query_dram_bytes, int admission_limit = 2,
+           int poison = -1, std::string *error = nullptr)
+{
+    ThreadPool::setGlobalParallelism(threads);
+    ServiceConfig cfg;
+    cfg.numDevices = num_devices;
+    cfg.admissionLimit = admission_limit;
+    cfg.maxQueuedPerTenant = 16;
+    cfg.queryDramBytes = query_dram_bytes;
+    cfg.tenants = {{"interactive", 0, 1.0, 0, 0.05},
+                   {"reports", 1, 2.0, 0, 0.5},
+                   {"batch", 1, 1.0, 0, 0.0}};
+    auto svc = std::make_unique<QueryService>(cfg);
+    installTables(*svc);
+    workload::TpchInstanceGenerator gen(11, kSf);
+    const int templates[] = {1, 3, 6, 13, 14};
+    for (int i = 0; i < 60; ++i) {
+        Query q = i == poison
+            ? Query{"poison", {{"out", scan("no_such_table")}}}
+            : gen.build(gen.instance(templates[i % 5], i / 5));
+        svc->submit(q, 0.002 * (i / 12), i % 3);
+    }
+    obs::SimTracer &tracer = obs::SimTracer::global();
+    if (traced)
+        tracer.enable();
+    try {
+        svc->drain();
+    } catch (const std::exception &ex) {
+        EXPECT_NE(error, nullptr) << ex.what();
+        if (error)
+            *error = ex.what();
+    }
+    if (traced) {
+        tracer.disable();
+        tracer.clear();
+    }
+    return svc;
+}
+
+/** Every field of two records that the run could have moved. */
+void
+expectSameRecord(const QueryRecord &a, const QueryRecord &b,
+                 const std::string &what)
+{
+    EXPECT_EQ(a.name, b.name) << what;
+    EXPECT_EQ(a.state, b.state) << what;
+    EXPECT_EQ(a.shedReason, b.shedReason) << what;
+    EXPECT_EQ(a.anchorDevice, b.anchorDevice) << what;
+    EXPECT_EQ(a.admitSec, b.admitSec) << what;
+    EXPECT_EQ(a.doneSec, b.doneSec) << what;
+    EXPECT_EQ(a.hostFinishSec, b.hostFinishSec) << what;
+    EXPECT_EQ(a.contentionWaitSec, b.contentionWaitSec) << what;
+    EXPECT_EQ(a.suspendReason, b.suspendReason) << what;
+    for (int c = 0; c < obs::kNumWaitClasses; ++c)
+        EXPECT_EQ(a.waitLedger.sec[c], b.waitLedger.sec[c])
+            << what << " wait class " << c;
+    expectSameWork(a, b, what);
+    EXPECT_EQ(a.metrics.seqRowOps, b.metrics.seqRowOps) << what;
+    EXPECT_EQ(a.metrics.touchedBaseBytes, b.metrics.touchedBaseBytes)
+        << what;
+    EXPECT_EQ(a.metrics.totalIntermediateBytes,
+              b.metrics.totalIntermediateBytes) << what;
+    ASSERT_EQ(a.stats.tasks.size(), b.stats.tasks.size()) << what;
+    for (std::size_t t = 0; t < a.stats.tasks.size(); ++t) {
+        EXPECT_EQ(a.stats.tasks[t].what, b.stats.tasks[t].what) << what;
+        EXPECT_EQ(a.stats.tasks[t].seconds, b.stats.tasks[t].seconds)
+            << what;
+        EXPECT_EQ(a.stats.tasks[t].work, b.stats.tasks[t].work) << what;
+    }
+    expectRelTablesIdentical(a.result, b.result, what);
+}
+
+/**
+ * Each switch's host port carried exactly the host reads of the
+ * queries anchored on it: a run's traffic reached the anchor's ledger
+ * whether the run was made ahead or at admission.
+ */
+void
+expectHostPortsCarryAnchoredReads(const QueryService &svc,
+                                  const std::string &what)
+{
+    std::vector<std::int64_t> want(svc.numDevices(), 0);
+    for (std::size_t id = 0; id < svc.numQueries(); ++id) {
+        const QueryRecord &r = svc.record(static_cast<QueryId>(id));
+        if (r.anchorDevice >= 0)
+            want[r.anchorDevice] += r.metrics.flashBytesRead;
+    }
+    for (int d = 0; d < svc.numDevices(); ++d)
+        EXPECT_EQ(svc.deviceSwitch(d).bytesRead(FlashPort::Host), want[d])
+            << what << " device " << d;
+}
+
+/** Records, switch ledgers and SLO timelines of two runs match. */
+void
+expectSameRun(const QueryService &a, const QueryService &b,
+              const std::string &what)
+{
+    ASSERT_EQ(a.numQueries(), b.numQueries()) << what;
+    for (std::size_t id = 0; id < a.numQueries(); ++id) {
+        auto qid = static_cast<QueryId>(id);
+        expectSameRecord(a.record(qid), b.record(qid),
+                         what + " query " + std::to_string(id));
+    }
+    for (int d = 0; d < a.numDevices(); ++d)
+        for (FlashPort port : {FlashPort::Host, FlashPort::Aquoman}) {
+            EXPECT_EQ(a.deviceSwitch(d).bytesRead(port),
+                      b.deviceSwitch(d).bytesRead(port)) << what;
+            EXPECT_EQ(a.deviceSwitch(d).bytesWritten(port),
+                      b.deviceSwitch(d).bytesWritten(port)) << what;
+        }
+    EXPECT_EQ(a.sloEngine().jsonString(), b.sloEngine().jsonString())
+        << what;
 }
 
 class QueryServiceTest : public ::testing::Test
@@ -445,6 +573,64 @@ TEST_F(QueryServiceTest, FlightRecorderObservesHealthyRuns)
     }
     EXPECT_TRUE(saw_submit);
     EXPECT_TRUE(saw_done);
+}
+
+TEST_F(QueryServiceTest, RunsAheadOfAdmissionMatchRunsAtAdmission)
+{
+    // Tracing makes every device run at its admission: the reference.
+    auto traced = runBacklog(4, /*traced=*/true, 4, 0);
+    ServiceStats ref = traced->aggregate();
+    EXPECT_GT(ref.completed, 30);
+    EXPECT_GT(ref.meanQueueWaitSec, 0.0); // the queues really backed up
+    expectHostPortsCarryAnchoredReads(*traced, "traced");
+    for (int threads : {1, 4}) {
+        auto svc = runBacklog(threads, /*traced=*/false, 4, 0);
+        expectSameRun(*svc, *traced,
+                      "threads=" + std::to_string(threads));
+        expectHostPortsCarryAnchoredReads(
+            *svc, "threads=" + std::to_string(threads));
+        EXPECT_EQ(svc->aggregate().discardedSpeculativeRuns, 0);
+    }
+}
+
+TEST_F(QueryServiceTest, FailedReservationsDiscardRunsMadeAhead)
+{
+    // Each reservation takes 0.6 of a device's DRAM, so an admission
+    // whose anchor still holds one fails and the host runs the query.
+    std::int64_t dram = ServiceConfig{}.device.dramBytes * 6 / 10;
+    auto traced = runBacklog(4, /*traced=*/true, 2, dram, 4);
+    EXPECT_GT(traced->aggregate().suspendReasonCounts.at("admission_dram"),
+              0);
+    EXPECT_EQ(traced->aggregate().discardedSpeculativeRuns, 0);
+    for (int threads : {1, 4}) {
+        auto svc = runBacklog(threads, /*traced=*/false, 2, dram, 4);
+        expectSameRun(*svc, *traced,
+                      "threads=" + std::to_string(threads));
+        expectHostPortsCarryAnchoredReads(
+            *svc, "threads=" + std::to_string(threads));
+        EXPECT_GT(svc->aggregate().discardedSpeculativeRuns, 0);
+    }
+}
+
+TEST_F(QueryServiceTest, RunAheadErrorSurfacesAtItsOwnAdmission)
+{
+    // Arrival 20 reads a table that does not exist; its device run
+    // throws wherever it is made, and drain() rethrows at the query's
+    // admission, with the same queries finished as without run-ahead.
+    std::string want, got;
+    auto traced = runBacklog(4, /*traced=*/true, 4, 0, 2, 20, &want);
+    EXPECT_NE(want.find("no_such_table"), std::string::npos) << want;
+    EXPECT_EQ(traced->record(20).state, QueryState::Running);
+    for (int threads : {1, 4}) {
+        auto svc = runBacklog(threads, /*traced=*/false, 4, 0, 2, 20,
+                              &got);
+        EXPECT_EQ(got, want) << "threads=" << threads;
+        for (std::size_t id = 0; id < svc->numQueries(); ++id) {
+            auto qid = static_cast<QueryId>(id);
+            EXPECT_EQ(svc->record(qid).state, traced->record(qid).state)
+                << "threads=" << threads << " query " << id;
+        }
+    }
 }
 
 } // namespace
