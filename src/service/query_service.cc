@@ -63,13 +63,15 @@ namespace {
  * Most functional device runs held ahead of admission: the look-ahead
  * window (DESIGN.md §9). It is a constant, not the pool size, so which
  * queries run ahead, and how many runs failed reservations discard, is
- * the same at every AQUOMAN_THREADS value. 16 rather than 32: on
- * perfbench service_overload (SF 0.02, 4 vCPUs, three alternating
- * runs each) both gave 539-540 queries/s and the same peak RSS, since
- * 16 runs already keep every worker busy; the smaller window holds
- * half the results and loses fewer runs to failed reservations.
+ * the same at every AQUOMAN_THREADS value. 32 rather than 16: on
+ * perfbench (SF 0.02, 4 vCPUs, --seconds 15, alternating runs) it
+ * gave a median 616 against 493 queries/s on service_light (five runs
+ * each), where every batch is filled with pending arrivals and a
+ * batch twice as long waits for its slowest run half as often, and
+ * 516 against 479 on service_overload (seven and eight runs, inside
+ * the run-to-run spread), with the same peak RSS on both.
  */
-constexpr std::size_t kSpeculationWindow = 16;
+constexpr std::size_t kSpeculationWindow = 32;
 
 /**
  * One query's functional device run, made on the pool before its
@@ -233,11 +235,16 @@ struct QueryService::Impl
         }
     };
 
+    /// Submitted queries whose Arrival has not fired, in the order
+    /// their events fire: keyed by (submitSec, event seq).
+    using ArrivalList = std::map<std::pair<double, std::int64_t>, QueryId>;
+
     /** Runtime admission state of one tenant. */
     struct TenantState
     {
         TenantConfig cfg;
         std::deque<QueryId> queue;
+        ArrivalList arrivals; ///< pending arrivals, in event order
         double deficit = 0.0;       ///< DRR credit within its class
         std::int64_t dramInUse = 0; ///< reserved bytes across devices
         std::int64_t submitted = 0;
@@ -253,12 +260,11 @@ struct QueryService::Impl
         // admissionLimit on a retained config copy.
         perQueryDram = cfg.resolvedQueryDramBytes();
         if (cfg.tenants.empty())
-            tenants.push_back(TenantState{TenantConfig{}, {}, 0.0, 0, 0,
-                                          0});
+            tenants.emplace_back();
         else
             for (const TenantConfig &tc : cfg.tenants) {
                 AQ_ASSERT(tc.weight > 0.0, "tenant weight must be > 0");
-                tenants.push_back(TenantState{tc, {}, 0.0, 0, 0, 0});
+                tenants.emplace_back().cfg = tc;
             }
         tracePrefix = cfg.traceLabel.empty() ? "" : cfg.traceLabel + ".";
         devTracks.assign(cfg.numDevices, -1);
@@ -284,10 +290,12 @@ struct QueryService::Impl
 
     // -- event plumbing ------------------------------------------------
 
-    void
+    /** Queue an event; returns its tie-break sequence number. */
+    std::int64_t
     schedule(double time, EventKind kind, QueryId qid, int device = -1)
     {
-        events.push(Event{time, nextSeq++, kind, qid, device});
+        events.push(Event{time, nextSeq, kind, qid, device});
+        return nextSeq++;
     }
 
     // -- observability -------------------------------------------------
@@ -593,6 +601,10 @@ struct QueryService::Impl
     void
     shed(QueryExec &e, const char *reason, const std::string &why)
     {
+        // runAhead's room rule makes this impossible: a run made for a
+        // query that is then shed would be a look-ahead bug.
+        AQ_ASSERT(!e.ahead, "shed query ", queryLabel(e),
+                  " holds a device run made ahead of its arrival");
         TenantState &t = tenants[static_cast<std::size_t>(e.rec.tenant)];
         ++t.shedCount;
         e.rec.shed = true;
@@ -621,8 +633,12 @@ struct QueryService::Impl
     {
         QueryExec &e = execs[qid];
         TenantState &t = tenants[static_cast<std::size_t>(e.rec.tenant)];
-        if (t.cfg.dramQuotaBytes > 0 &&
-            t.cfg.dramQuotaBytes < perQueryDram) {
+        // Events fire in (time, seq) order, so each tenant's arrivals
+        // leave its pending list from the front.
+        AQ_ASSERT(!t.arrivals.empty() && t.arrivals.begin()->second == qid,
+                  "arrival of ", queryLabel(e), " out of event order");
+        t.arrivals.erase(t.arrivals.begin());
+        if (quotaBelowReservation(t)) {
             shed(e, "quota_below_reservation",
                  "quota " + std::to_string(t.cfg.dramQuotaBytes)
                      + " below per-query reservation "
@@ -638,6 +654,32 @@ struct QueryService::Impl
         }
         t.queue.push_back(qid);
         tryAdmit();
+    }
+
+    /** Every arrival of @p t is shed: one reservation exceeds its quota. */
+    bool
+    quotaBelowReservation(const TenantState &t) const
+    {
+        return t.cfg.dramQuotaBytes > 0 &&
+               t.cfg.dramQuotaBytes < perQueryDram;
+    }
+
+    /**
+     * How many of @p t's next arrivals are sure to be queued, not
+     * shed. A queue grows only through its tenant's own arrivals, so
+     * the k-th next one finds at most queue.size() + k - 1 queued
+     * queries and cannot hit maxQueuedPerTenant while k is at most the
+     * queue's free room.
+     */
+    std::size_t
+    arrivalRoom(const TenantState &t) const
+    {
+        if (quotaBelowReservation(t))
+            return 0;
+        if (cfg.maxQueuedPerTenant <= 0)
+            return t.arrivals.size();
+        auto bound = static_cast<std::size_t>(cfg.maxQueuedPerTenant);
+        return bound - std::min(bound, t.queue.size());
     }
 
     /** A tenant may be served when it has work and quota headroom. */
@@ -815,23 +857,29 @@ struct QueryService::Impl
 
     /**
      * Make @p first's device run now, together with the runs of up to
-     * kSpeculationWindow - 1 queued queries that have none (tenant
-     * queue fronts first, then the next in line), as one task group on
-     * the pool; at most kSpeculationWindow runs are held at once. A
-     * run depends only on its query, perQueryDram and the read-only
-     * catalog, and a queued query is always admitted later (shedding
-     * happens only at arrival), so a run is wasted only when its
-     * anchor reservation fails. Runs start only from an admission
-     * whose reservation succeeded, so a reservation larger than device
-     * DRAM never runs ahead. While tracing, the window is 1: the
-     * tracer's ambient group is process-global, and concurrent runs
-     * would stamp each other's spans.
+     * kSpeculationWindow - 1 other queries that have none, as one task
+     * group on the pool; at most kSpeculationWindow runs are held at
+     * once. Queued queries come first (tenant queue fronts, then the
+     * next in line), then pending arrivals, depth by depth across
+     * tenants, each tenant only its earliest arrivalRoom() ones. A run
+     * depends only on its query, perQueryDram and the read-only
+     * catalog; queued queries are always admitted later, and the room
+     * rule keeps every chosen arrival from being shed, so a run is
+     * wasted only when its anchor reservation fails. Runs start only
+     * from an admission whose reservation succeeded, so a reservation
+     * larger than device DRAM never runs ahead. While tracing, the
+     * window is 1: the tracer's ambient group is process-global, and
+     * concurrent runs would stamp each other's spans.
      */
     void
     runAhead(QueryExec &first)
     {
         std::size_t window = tracer.enabled() ? 1 : kSpeculationWindow;
         std::vector<QueryExec *> batch{&first};
+        auto add = [&](QueryExec &q) {
+            if (!q.ahead && aheadHeld + batch.size() < window)
+                batch.push_back(&q);
+        };
         for (std::size_t depth = 0; aheadHeld + batch.size() < window;
              ++depth) {
             bool deeper = false;
@@ -839,13 +887,29 @@ struct QueryService::Impl
                 if (depth >= t.queue.size())
                     continue;
                 deeper = true;
-                QueryExec &q = execs[t.queue[depth]];
-                if (!q.ahead && aheadHeld + batch.size() < window)
-                    batch.push_back(&q);
+                add(execs[t.queue[depth]]);
             }
             if (!deeper)
                 break;
         }
+        std::size_t queued = batch.size();
+        std::vector<std::pair<ArrivalList::const_iterator, std::size_t>>
+            next; // per tenant: next pending arrival, room left
+        for (const TenantState &t : tenants)
+            next.emplace_back(t.arrivals.begin(), arrivalRoom(t));
+        for (bool deeper = true;
+             deeper && aheadHeld + batch.size() < window;) {
+            deeper = false;
+            for (std::size_t ti = 0; ti < tenants.size(); ++ti) {
+                auto &[it, room] = next[ti];
+                if (room == 0 || it == tenants[ti].arrivals.end())
+                    continue;
+                deeper = true;
+                --room;
+                add(execs[(it++)->second]);
+            }
+        }
+        arrivalRuns += static_cast<std::int64_t>(batch.size() - queued);
         TaskGroup group;
         for (QueryExec *q : batch) {
             // Every device shares one flash config, which is all a run
@@ -1200,6 +1264,7 @@ struct QueryService::Impl
     int running = 0;
     std::size_t aheadHeld = 0;      ///< runs made ahead, not yet joined
     std::int64_t discardedRuns = 0; ///< dropped at a failed reservation
+    std::int64_t arrivalRuns = 0;   ///< made before the query's arrival
 
     obs::SimTracer &tracer = obs::SimTracer::global();
     std::string tracePrefix;
@@ -1270,10 +1335,13 @@ QueryService::submit(const Query &q, double arrival_sec, int tenant)
     e.rec.state = QueryState::Queued;
     e.waitMark = e.rec.submitSec; // wait ledger opens at submission
     e.rec.lifecycle.push_back({QueryState::Queued, e.rec.submitSec});
-    ++impl->tenants[static_cast<std::size_t>(tenant)].submitted;
+    Impl::TenantState &t = impl->tenants[static_cast<std::size_t>(tenant)];
+    ++t.submitted;
     impl->flight.record(e.rec.submitSec, "submit",
                         impl->queryLabel(e), "");
-    impl->schedule(e.rec.submitSec, Impl::EventKind::Arrival, id);
+    std::int64_t seq =
+        impl->schedule(e.rec.submitSec, Impl::EventKind::Arrival, id);
+    t.arrivals.emplace(std::make_pair(e.rec.submitSec, seq), id);
     return id;
 }
 
@@ -1348,6 +1416,7 @@ QueryService::aggregate() const
         s.tenants.push_back(std::move(ts));
     }
     s.discardedSpeculativeRuns = impl->discardedRuns;
+    s.arrivalRunsAhead = impl->arrivalRuns;
     s.blame = impl->blame;
     s.contentionWaitSec = s.blame.total();
     for (std::size_t ti = 0; ti < s.tenants.size(); ++ti)

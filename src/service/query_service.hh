@@ -386,6 +386,12 @@ struct ServiceStats
      * Wall-clock bookkeeping only: kept out of every report.
      */
     std::int64_t discardedSpeculativeRuns = 0;
+
+    /**
+     * Device runs made ahead for queries whose arrival had not fired
+     * yet. Wall-clock bookkeeping only: kept out of every report.
+     */
+    std::int64_t arrivalRunsAhead = 0;
 };
 
 /**

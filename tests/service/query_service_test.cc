@@ -6,14 +6,16 @@
  * value; forced suspensions complete correctly through the host path;
  * admission control produces queue wait; modelled throughput
  * scales monotonically with the device count; and device runs made
- * ahead of admission on the pool leave every record, ledger and SLO
- * timeline exactly as runs made at admission do.
+ * ahead of admission on the pool, for queued queries and for arrivals
+ * still pending, leave every record, ledger and SLO timeline exactly
+ * as runs made at admission do, and never go to a query that is shed.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -153,19 +155,13 @@ runConcurrent(int num_devices, int admission_limit)
 }
 
 /**
- * A backlogged three-tenant run: bursts of q1/q3/q6/q13/q14 instances
- * against two admission slots, so tenant queues stay deep and device
- * runs are made ahead of admission. With @p traced the simulation
- * tracer is on, which makes every run at its admission instead. When
- * @p poison >= 0, arrival @p poison is replaced by a query whose run
- * throws, and the thrown message lands in @p error.
+ * Three tenants (one interactive class, two batch-class tenants
+ * sharing by weight) over @p num_devices SSDs.
  */
-std::unique_ptr<QueryService>
-runBacklog(int threads, bool traced, int num_devices,
-           std::int64_t query_dram_bytes, int admission_limit = 2,
-           int poison = -1, std::string *error = nullptr)
+ServiceConfig
+threeTenants(int num_devices, int admission_limit,
+             std::int64_t query_dram_bytes)
 {
-    ThreadPool::setGlobalParallelism(threads);
     ServiceConfig cfg;
     cfg.numDevices = num_devices;
     cfg.admissionLimit = admission_limit;
@@ -174,21 +170,43 @@ runBacklog(int threads, bool traced, int num_devices,
     cfg.tenants = {{"interactive", 0, 1.0, 0, 0.05},
                    {"reports", 1, 2.0, 0, 0.5},
                    {"batch", 1, 1.0, 0, 0.0}};
-    auto svc = std::make_unique<QueryService>(cfg);
-    installTables(*svc);
-    workload::TpchInstanceGenerator gen(11, kSf);
+    return cfg;
+}
+
+/** Replay query @p i: q1/q3/q6/q13/q14 instances in turn. */
+Query
+replayQuery(workload::TpchInstanceGenerator &gen, int i)
+{
     const int templates[] = {1, 3, 6, 13, 14};
-    for (int i = 0; i < 60; ++i) {
-        Query q = i == poison
-            ? Query{"poison", {{"out", scan("no_such_table")}}}
-            : gen.build(gen.instance(templates[i % 5], i / 5));
-        svc->submit(q, 0.002 * (i / 12), i % 3);
-    }
+    return gen.build(gen.instance(templates[i % 5], i / 5));
+}
+
+/** Arrival times of 60 queries: bursts of @p burst, @p gap s apart. */
+std::vector<double>
+bursts(int burst, double gap)
+{
+    std::vector<double> at;
+    for (int i = 0; i < 60; ++i)
+        at.push_back(gap * (i / burst));
+    return at;
+}
+
+/**
+ * Drain @p svc on @p threads pool workers. With @p traced the
+ * simulation tracer is on, which makes every device run at its
+ * admission instead of ahead: the reference run. A thrown message
+ * lands in @p error; with no @p error it fails the test.
+ */
+void
+drainWith(QueryService &svc, int threads, bool traced,
+          std::string *error = nullptr)
+{
+    ThreadPool::setGlobalParallelism(threads);
     obs::SimTracer &tracer = obs::SimTracer::global();
     if (traced)
         tracer.enable();
     try {
-        svc->drain();
+        svc.drain();
     } catch (const std::exception &ex) {
         EXPECT_NE(error, nullptr) << ex.what();
         if (error)
@@ -198,6 +216,76 @@ runBacklog(int threads, bool traced, int num_devices,
         tracer.disable();
         tracer.clear();
     }
+}
+
+/**
+ * An open-loop replay: query i (replayQuery) arrives at @p arrivals[i]
+ * for tenant i % 3, submitted in index order. When @p poison >= 0,
+ * arrival @p poison is replaced by a query whose run throws, and the
+ * thrown message lands in @p error.
+ */
+std::unique_ptr<QueryService>
+runOpenLoop(int threads, bool traced, const ServiceConfig &cfg,
+            const std::vector<double> &arrivals, int poison = -1,
+            std::string *error = nullptr)
+{
+    auto svc = std::make_unique<QueryService>(cfg);
+    installTables(*svc);
+    workload::TpchInstanceGenerator gen(11, kSf);
+    for (int i = 0; i < static_cast<int>(arrivals.size()); ++i) {
+        Query q = i == poison
+            ? Query{"poison", {{"out", scan("no_such_table")}}}
+            : replayQuery(gen, i);
+        svc->submit(q, arrivals[i], i % 3);
+    }
+    drainWith(*svc, threads, traced, error);
+    return svc;
+}
+
+/**
+ * A backlogged run: bursts of twelve arrivals against @p
+ * admission_limit slots, so tenant queues stay deep and device runs
+ * are made ahead of admission.
+ */
+std::unique_ptr<QueryService>
+runBacklog(int threads, bool traced, int num_devices,
+           std::int64_t query_dram_bytes, int admission_limit = 2,
+           int poison = -1, std::string *error = nullptr)
+{
+    return runOpenLoop(threads, traced,
+                       threeTenants(num_devices, admission_limit,
+                                    query_dram_bytes),
+                       bursts(12, 0.002), poison, error);
+}
+
+/**
+ * A closed loop: six clients, two per tenant, eight rounds each. The
+ * completion hook resubmits during drain(), after a think time of
+ * 0.5 ms times the client index, so arrivals are pending while the
+ * loop runs.
+ */
+std::unique_ptr<QueryService>
+runClosedLoop(int threads, bool traced)
+{
+    constexpr int kClients = 6, kRounds = 8;
+    auto svc = std::make_unique<QueryService>(threeTenants(4, 2, 0));
+    installTables(*svc);
+    workload::TpchInstanceGenerator gen(11, kSf);
+    std::map<QueryId, int> owner;
+    std::vector<int> round(kClients, 0);
+    auto submit = [&](int c, double at) {
+        Query q = replayQuery(gen, c * kRounds + round[c]);
+        owner[svc->submit(q, at, c % 3)] = c;
+    };
+    svc->setOnComplete([&](const QueryRecord &rec) {
+        int c = owner.at(rec.id);
+        if (++round[c] < kRounds)
+            submit(c, svc->now() + 0.0005 * c);
+    });
+    for (int c = 0; c < kClients; ++c)
+        submit(c, 0.0);
+    drainWith(*svc, threads, traced);
+    svc->setOnComplete(nullptr);
     return svc;
 }
 
@@ -630,6 +718,102 @@ TEST_F(QueryServiceTest, RunAheadErrorSurfacesAtItsOwnAdmission)
             EXPECT_EQ(svc->record(qid).state, traced->record(qid).state)
                 << "threads=" << threads << " query " << id;
         }
+    }
+}
+
+TEST_F(QueryServiceTest, RunsAheadOfArrivalMatchWithoutBacklog)
+{
+    // One arrival every 20 ms: each query is admitted at once, so the
+    // only runs to make ahead are those of arrivals still pending.
+    ServiceConfig cfg = threeTenants(4, 2, 0);
+    auto traced = runOpenLoop(4, /*traced=*/true, cfg, bursts(1, 0.02));
+    ServiceStats ref = traced->aggregate();
+    EXPECT_EQ(ref.completed, 60);
+    EXPECT_EQ(ref.meanQueueWaitSec, 0.0); // no queue ever formed
+    EXPECT_EQ(ref.arrivalRunsAhead, 0);
+    for (int threads : {1, 4}) {
+        std::string what = "threads=" + std::to_string(threads);
+        auto svc = runOpenLoop(threads, /*traced=*/false, cfg,
+                               bursts(1, 0.02));
+        expectSameRun(*svc, *traced, what);
+        expectHostPortsCarryAnchoredReads(*svc, what);
+        EXPECT_GT(svc->aggregate().arrivalRunsAhead, 0) << what;
+    }
+}
+
+TEST_F(QueryServiceTest, ClosedLoopResubmissionsRunAheadIdentically)
+{
+    auto traced = runClosedLoop(4, /*traced=*/true);
+    EXPECT_EQ(traced->aggregate().completed, 48);
+    for (int threads : {1, 4}) {
+        std::string what = "threads=" + std::to_string(threads);
+        auto svc = runClosedLoop(threads, /*traced=*/false);
+        expectSameRun(*svc, *traced, what);
+        expectHostPortsCarryAnchoredReads(*svc, what);
+        EXPECT_GT(svc->aggregate().arrivalRunsAhead, 0) << what;
+    }
+}
+
+TEST_F(QueryServiceTest, ShedArrivalsNeverHoldRunsMadeAhead)
+{
+    // Two queue places per tenant against bursts of twelve: most of
+    // each burst is shed, and shed() asserts that none of the shed
+    // queries holds a run made ahead (drainWith fails on the throw).
+    ServiceConfig cfg = threeTenants(4, 2, 0);
+    cfg.maxQueuedPerTenant = 2;
+    auto traced = runOpenLoop(4, /*traced=*/true, cfg, bursts(12, 0.002));
+    EXPECT_GT(traced->aggregate().shedReasonCounts["queue_full"], 10);
+    for (int threads : {1, 4}) {
+        std::string what = "threads=" + std::to_string(threads);
+        auto svc = runOpenLoop(threads, /*traced=*/false, cfg,
+                               bursts(12, 0.002));
+        expectSameRun(*svc, *traced, what);
+        ServiceStats st = svc->aggregate();
+        EXPECT_EQ(st.shedTotal, traced->aggregate().shedTotal) << what;
+        EXPECT_GT(st.arrivalRunsAhead, 0) << what;
+    }
+}
+
+TEST_F(QueryServiceTest, QuotaBelowReservationShedsWithoutRuns)
+{
+    // The batch tenant's quota cannot hold one reservation, so every
+    // arrival of its is shed; none may have been run ahead.
+    std::int64_t dram = ServiceConfig{}.device.dramBytes / 4;
+    ServiceConfig cfg = threeTenants(4, 2, dram);
+    cfg.tenants[2].dramQuotaBytes = dram - 1;
+    auto traced = runOpenLoop(4, /*traced=*/true, cfg, bursts(1, 0.02));
+    for (int threads : {1, 4}) {
+        std::string what = "threads=" + std::to_string(threads);
+        auto svc = runOpenLoop(threads, /*traced=*/false, cfg,
+                               bursts(1, 0.02));
+        expectSameRun(*svc, *traced, what);
+        ServiceStats st = svc->aggregate();
+        EXPECT_EQ(st.tenants[2].shed, 20) << what;
+        EXPECT_EQ(st.shedReasonCounts["quota_below_reservation"], 20)
+            << what;
+        EXPECT_EQ(st.shedTotal, 20) << what;
+        EXPECT_GT(st.arrivalRunsAhead, 0) << what;
+    }
+}
+
+TEST_F(QueryServiceTest, OutOfOrderSubmissionsRunAheadInEventOrder)
+{
+    // Submitted latest first, in groups of six sharing one arrival
+    // time: pending arrivals must still be taken in (time, seq) order,
+    // or the room rule would pick arrivals that are later shed.
+    std::vector<double> at;
+    for (int i = 0; i < 60; ++i)
+        at.push_back(0.002 * ((59 - i) / 6));
+    ServiceConfig cfg = threeTenants(4, 2, 0);
+    cfg.maxQueuedPerTenant = 2;
+    auto traced = runOpenLoop(4, /*traced=*/true, cfg, at);
+    EXPECT_GT(traced->aggregate().shedTotal, 0);
+    EXPECT_EQ(traced->record(54).admitSec, 0.0); // first of time 0
+    for (int threads : {1, 4}) {
+        std::string what = "threads=" + std::to_string(threads);
+        auto svc = runOpenLoop(threads, /*traced=*/false, cfg, at);
+        expectSameRun(*svc, *traced, what);
+        EXPECT_GT(svc->aggregate().arrivalRunsAhead, 0) << what;
     }
 }
 
