@@ -601,8 +601,8 @@ struct QueryService::Impl
     void
     shed(QueryExec &e, const char *reason, const std::string &why)
     {
-        // runAhead's room rule makes this impossible: a run made for a
-        // query that is then shed would be a look-ahead bug.
+        // runAhead's room rule, kept by keepArrivalRoom, makes this
+        // impossible: a run held by a shed query is a look-ahead bug.
         AQ_ASSERT(!e.ahead, "shed query ", queryLabel(e),
                   " holds a device run made ahead of its arrival");
         TenantState &t = tenants[static_cast<std::size_t>(e.rec.tenant)];
@@ -666,10 +666,11 @@ struct QueryService::Impl
 
     /**
      * How many of @p t's next arrivals are sure to be queued, not
-     * shed. A queue grows only through its tenant's own arrivals, so
-     * the k-th next one finds at most queue.size() + k - 1 queued
-     * queries and cannot hit maxQueuedPerTenant while k is at most the
-     * queue's free room.
+     * shed, unless a later submission lands ahead of them (see
+     * keepArrivalRoom). A queue grows only through its tenant's own
+     * arrivals, so the k-th next one finds at most queue.size() + k - 1
+     * queued queries and cannot hit maxQueuedPerTenant while k is at
+     * most the queue's free room.
      */
     std::size_t
     arrivalRoom(const TenantState &t) const
@@ -680,6 +681,27 @@ struct QueryService::Impl
             return t.arrivals.size();
         auto bound = static_cast<std::size_t>(cfg.maxQueuedPerTenant);
         return bound - std::min(bound, t.queue.size());
+    }
+
+    /**
+     * Keep every run held by one of @p t's pending arrivals within its
+     * earliest arrivalRoom(), after a submission joined them at
+     * @p added. An arrival leaving the list moves every later one up
+     * a place and takes at most one queue place, and an admission
+     * frees a queue place, so only a submission breaks the rule: one made
+     * during drain() (a closed loop's completion hook) can land ahead
+     * of arrivals already run ahead and push the last of them past the
+     * room, where it could be shed. That arrival's run is dropped here,
+     * unseen, and counted with the discarded runs.
+     */
+    void
+    keepArrivalRoom(TenantState &t, ArrivalList::const_iterator added)
+    {
+        std::size_t room = arrivalRoom(t);
+        if (room >= t.arrivals.size() || std::next(added) == t.arrivals.end())
+            return;
+        if (takeAhead(execs[std::next(t.arrivals.begin(), room)->second]))
+            ++discardedRuns;
     }
 
     /** A tenant may be served when it has work and quota headroom. */
@@ -865,7 +887,8 @@ struct QueryService::Impl
      * depends only on its query, perQueryDram and the read-only
      * catalog; queued queries are always admitted later, and the room
      * rule keeps every chosen arrival from being shed, so a run is
-     * wasted only when its anchor reservation fails. Runs start only
+     * wasted only when its anchor reservation fails or a later
+     * submission displaces its arrival (keepArrivalRoom). Runs start only
      * from an admission whose reservation succeeded, so a reservation
      * larger than device DRAM never runs ahead. While tracing, the
      * window is 1: the tracer's ambient group is process-global, and
@@ -1263,7 +1286,7 @@ struct QueryService::Impl
     std::int64_t admissionCounter = 0;
     int running = 0;
     std::size_t aheadHeld = 0;      ///< runs made ahead, not yet joined
-    std::int64_t discardedRuns = 0; ///< dropped at a failed reservation
+    std::int64_t discardedRuns = 0; ///< dropped unseen, never joined
     std::int64_t arrivalRuns = 0;   ///< made before the query's arrival
 
     obs::SimTracer &tracer = obs::SimTracer::global();
@@ -1341,7 +1364,9 @@ QueryService::submit(const Query &q, double arrival_sec, int tenant)
                         impl->queryLabel(e), "");
     std::int64_t seq =
         impl->schedule(e.rec.submitSec, Impl::EventKind::Arrival, id);
-    t.arrivals.emplace(std::make_pair(e.rec.submitSec, seq), id);
+    impl->keepArrivalRoom(
+        t, t.arrivals.emplace(std::make_pair(e.rec.submitSec, seq), id)
+               .first);
     return id;
 }
 

@@ -381,8 +381,10 @@ struct ServiceStats
     double contentionWaitSec = 0.0;
 
     /**
-     * Device runs made ahead of admission and then discarded because
-     * the query's anchor DRAM reservation failed (the host ran it).
+     * Device runs made ahead of admission and then discarded unseen:
+     * the query's anchor DRAM reservation failed (the host ran it), or
+     * a later submission of its tenant landed ahead of its pending
+     * arrival and took the queue place it was run ahead for.
      * Wall-clock bookkeeping only: kept out of every report.
      */
     std::int64_t discardedSpeculativeRuns = 0;

@@ -259,34 +259,45 @@ runBacklog(int threads, bool traced, int num_devices,
 }
 
 /**
- * A closed loop: six clients, two per tenant, eight rounds each. The
- * completion hook resubmits during drain(), after a think time of
- * 0.5 ms times the client index, so arrivals are pending while the
- * loop runs.
+ * A closed loop: @p clients clients, spread over the tenants of @p cfg
+ * in turn, @p rounds queries each. The completion hook (which also
+ * fires for a shed query) resubmits during drain(), @p think(c, round)
+ * seconds after client c's last query left, so arrivals are pending
+ * while the loop runs and later submissions can land ahead of them.
  */
 std::unique_ptr<QueryService>
-runClosedLoop(int threads, bool traced)
+runClosedLoop(int threads, bool traced, const ServiceConfig &cfg,
+              int clients, int rounds,
+              const std::function<double(int, int)> &think)
 {
-    constexpr int kClients = 6, kRounds = 8;
-    auto svc = std::make_unique<QueryService>(threeTenants(4, 2, 0));
+    auto svc = std::make_unique<QueryService>(cfg);
     installTables(*svc);
     workload::TpchInstanceGenerator gen(11, kSf);
+    int tenants = static_cast<int>(cfg.tenants.size());
     std::map<QueryId, int> owner;
-    std::vector<int> round(kClients, 0);
+    std::vector<int> round(static_cast<std::size_t>(clients), 0);
     auto submit = [&](int c, double at) {
-        Query q = replayQuery(gen, c * kRounds + round[c]);
-        owner[svc->submit(q, at, c % 3)] = c;
+        Query q = replayQuery(gen, c * rounds + round[c]);
+        owner[svc->submit(q, at, c % tenants)] = c;
     };
     svc->setOnComplete([&](const QueryRecord &rec) {
         int c = owner.at(rec.id);
-        if (++round[c] < kRounds)
-            submit(c, svc->now() + 0.0005 * c);
+        if (++round[c] < rounds)
+            submit(c, svc->now() + think(c, round[c]));
     });
-    for (int c = 0; c < kClients; ++c)
+    for (int c = 0; c < clients; ++c)
         submit(c, 0.0);
     drainWith(*svc, threads, traced);
     svc->setOnComplete(nullptr);
     return svc;
+}
+
+/** Six clients, two per tenant, eight rounds, 0.5 ms x client think. */
+std::unique_ptr<QueryService>
+runClosedLoop(int threads, bool traced)
+{
+    return runClosedLoop(threads, traced, threeTenants(4, 2, 0), 6, 8,
+                         [](int c, int) { return 0.0005 * c; });
 }
 
 /** Every field of two records that the run could have moved. */
@@ -751,6 +762,37 @@ TEST_F(QueryServiceTest, ClosedLoopResubmissionsRunAheadIdentically)
         expectSameRun(*svc, *traced, what);
         expectHostPortsCarryAnchoredReads(*svc, what);
         EXPECT_GT(svc->aggregate().arrivalRunsAhead, 0) << what;
+    }
+}
+
+TEST_F(QueryServiceTest, ClosedLoopOverTightQueuesDropsDisplacedRuns)
+{
+    // Four clients per tenant against one or two queue places: a
+    // resubmission can land ahead of an arrival already run ahead and
+    // take the queue place that arrival was counted into. Its run is
+    // then dropped at the resubmission (so the arrival, if shed, holds
+    // none), and every record still matches the traced run.
+    for (int bound : {1, 2}) {
+        ServiceConfig cfg = threeTenants(4, 2, 0);
+        cfg.maxQueuedPerTenant = bound;
+        auto think = [](int c, int round) {
+            return 0.001 * ((c * 5 + round * 3) % 7);
+        };
+        std::string base = "bound=" + std::to_string(bound);
+        auto traced = runClosedLoop(4, /*traced=*/true, cfg, 12, 6, think);
+        ServiceStats ref = traced->aggregate();
+        EXPECT_EQ(ref.completed + ref.shedTotal, 72) << base;
+        EXPECT_GT(ref.shedReasonCounts["queue_full"], 0) << base;
+        for (int threads : {1, 4}) {
+            std::string what = base + " threads=" + std::to_string(threads);
+            auto svc =
+                runClosedLoop(threads, /*traced=*/false, cfg, 12, 6, think);
+            expectSameRun(*svc, *traced, what);
+            ServiceStats st = svc->aggregate();
+            EXPECT_EQ(st.shedTotal, ref.shedTotal) << what;
+            EXPECT_GT(st.arrivalRunsAhead, 0) << what;
+            EXPECT_GT(st.discardedSpeculativeRuns, 0) << what;
+        }
     }
 }
 
