@@ -1,7 +1,6 @@
 #include "aquoman/swissknife/groupby.hh"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <numeric>
 
@@ -25,17 +24,6 @@ fnvLane(std::uint64_t h, std::int64_t lane)
         h *= kFnvPrime;
     }
     return h;
-}
-
-/**
- * Spill-table home slot: the top bits of hash * 2^64/phi (Fibonacci
- * hashing), since the low bits already chose, and collided on, the
- * SRAM bucket.
- */
-std::size_t
-homeSlot(std::uint64_t hash, int shift)
-{
-    return (hash * 0x9e3779b97f4a7c15ull) >> shift;
 }
 
 bool
@@ -63,7 +51,7 @@ GroupByAccelerator::GroupByAccelerator(const AquomanConfig &cfg,
                                        int id_width,
                                        std::vector<HwAgg> aggs)
     : idWidth(id_width), numAggs(static_cast<int>(aggs.size())),
-      aggKinds(std::move(aggs))
+      aggKinds(std::move(aggs)), spill(id_width)
 {
     AQ_ASSERT(idWidth >= 0);
     AQ_ASSERT(numAggs <= cfg.aggSlotsPerBucket,
@@ -180,48 +168,14 @@ std::int64_t
 GroupByAccelerator::spillGroup(std::span<const std::int64_t *const> id_cols,
                                std::int64_t r, std::uint64_t hash)
 {
-    // Keep the table at most half full so probes stay short.
-    if (2 * (spillHash.size() + 1) > spillSlots.size())
-        growSpill();
-    const std::size_t mask = spillSlots.size() - 1;
-    std::size_t p = homeSlot(hash, spillShift);
-    for (;; p = (p + 1) & mask) {
-        const std::int32_t g = spillSlots[p];
-        if (g < 0)
-            break;
-        if (spillHash[g] == hash
-            && sameId(spillIds.data() + std::int64_t{g} * idWidth,
-                      id_cols, r))
-            return g;
+    const auto [g, fresh] = spill.insert(id_cols, r, hash);
+    if (fresh) {
+        spillAggs.resize(spillAggs.size() + numAggs);
+        initAggs(spillAggs.data() + g * numAggs);
+        spillRows.push_back(0);
+        ++runStats.groupsSpilled;
     }
-    const std::int64_t g = static_cast<std::int64_t>(spillHash.size());
-    AQ_ASSERT(g < std::numeric_limits<std::int32_t>::max(),
-              "spill table exceeds int32 group index");
-    spillSlots[p] = static_cast<std::int32_t>(g);
-    spillHash.push_back(hash);
-    spillIds.resize(spillIds.size() + idWidth);
-    copyId(spillIds.data() + g * idWidth, id_cols, r);
-    spillAggs.resize(spillAggs.size() + numAggs);
-    initAggs(spillAggs.data() + g * numAggs);
-    spillRows.push_back(0);
-    ++runStats.groupsSpilled;
     return g;
-}
-
-void
-GroupByAccelerator::growSpill()
-{
-    const std::size_t cap =
-        std::max<std::size_t>(64, 2 * spillSlots.size());
-    spillSlots.assign(cap, -1);
-    spillShift = 64 - std::countr_zero(cap);
-    const std::size_t mask = cap - 1;
-    for (std::size_t g = 0; g < spillHash.size(); ++g) {
-        std::size_t p = homeSlot(spillHash[g], spillShift);
-        while (spillSlots[p] >= 0)
-            p = (p + 1) & mask;
-        spillSlots[p] = static_cast<std::int32_t>(g);
-    }
 }
 
 GroupColumns
@@ -252,10 +206,8 @@ GroupByAccelerator::finish() const
     }
     out.sramGroups = runStats.groupsInSram;
 
-    auto spill_id = [&](std::int32_t g) {
-        return spillIds.data() + std::int64_t{g} * idWidth;
-    };
-    std::vector<std::int32_t> order(spillHash.size());
+    auto spill_id = [&](std::int32_t g) { return spill.key(g); };
+    std::vector<std::int32_t> order(spill.size());
     std::iota(order.begin(), order.end(), 0);
     auto id_less = [&](std::int32_t a, std::int32_t b) {
         return std::lexicographical_compare(spill_id(a),

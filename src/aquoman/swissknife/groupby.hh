@@ -9,8 +9,8 @@
  *
  * Storage is flat: the SRAM buckets are structure-of-arrays (a used
  * flag array plus bucket-major id, aggregate and row-count arrays) and
- * the host spill table is an open-addressing table over group-major
- * arrays of the same shape. Rows arrive column by column.
+ * the host spill groups are ids of a KeyTable, with group-major
+ * aggregate and row-count arrays. Rows arrive column by column.
  */
 
 #ifndef AQUOMAN_AQUOMAN_SWISSKNIFE_GROUPBY_HH
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "aquoman/config.hh"
+#include "common/key_table.hh"
 #include "common/logging.hh"
 
 namespace aquoman {
@@ -102,7 +103,6 @@ class GroupByAccelerator
                     std::int64_t r, std::uint64_t hash);
     std::int64_t spillGroup(std::span<const std::int64_t *const> id_cols,
                             std::int64_t r, std::uint64_t hash);
-    void growSpill();
     void initAggs(std::int64_t *agg) const;
     void applyRow(std::int64_t *agg,
                   std::span<const std::int64_t *const> val_cols,
@@ -119,11 +119,8 @@ class GroupByAccelerator
     std::vector<std::int64_t> sramAggs; ///< numAggs slots per bucket
     std::vector<std::int64_t> sramRows;
 
-    /** Host spill table: slots index the group-major arrays. */
-    std::vector<std::int32_t> spillSlots; ///< group index or -1
-    int spillShift = 64;                  ///< 64 - log2(slot count)
-    std::vector<std::uint64_t> spillHash; ///< cached FNV-1a per group
-    std::vector<std::int64_t> spillIds;
+    /** Host spill groups: KeyTable ids index the group-major arrays. */
+    KeyTable spill;
     std::vector<std::int64_t> spillAggs;
     std::vector<std::int64_t> spillRows;
 

@@ -1,12 +1,11 @@
 #include "engine/executor.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "columnstore/selection_vector.hh"
+#include "common/key_table.hh"
 #include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -15,30 +14,6 @@
 namespace aquoman {
 
 namespace {
-
-/** Append the hashable encoding of one value to @p key. */
-void
-appendKeyValue(std::string &key, const RelColumn &c, std::int64_t row)
-{
-    if (c.type == ColumnType::Varchar) {
-        auto s = c.str(row);
-        key.append(s.data(), s.size());
-        key.push_back('\0');
-    } else {
-        std::int64_t v = c.get(row);
-        key.append(reinterpret_cast<const char *>(&v), sizeof(v));
-    }
-}
-
-/** Build the composite key string for @p row over @p cols. */
-std::string
-makeKey(const RelTable &t, const std::vector<int> &cols, std::int64_t row)
-{
-    std::string key;
-    for (int c : cols)
-        appendKeyValue(key, t.col(c), row);
-    return key;
-}
 
 std::vector<int>
 resolveColumns(const RelTable &t, const std::vector<std::string> &names)
@@ -49,85 +24,106 @@ resolveColumns(const RelTable &t, const std::vector<std::string> &names)
     return out;
 }
 
+/** The value arrays of @p cols: the key lanes of a hash join or group-by. */
+std::vector<const std::int64_t *>
+keyLanes(const RelTable &t, const std::vector<int> &cols)
+{
+    std::vector<const std::int64_t *> lanes;
+    for (int c : cols)
+        lanes.push_back(t.col(c).vals->data());
+    return lanes;
+}
+
 /**
- * Fixed-width composite key over up to four non-varchar columns. Key
- * equality matches the string encoding exactly (raw int64 values), so
- * hash containers group identical row sets in identical insertion
- * order — results are bit-identical to the string-keyed path, minus
- * the per-row string allocation.
+ * Hash of row @p r's key: a murmur3-style mix folded over the lanes'
+ * raw values. Varchar lanes hold interned heap offsets, one per
+ * distinct string, so equal offsets are exactly equal strings.
  */
-struct IntKey
+std::uint64_t
+keyHash(KeyLanes lanes, std::int64_t r)
 {
-    std::array<std::int64_t, 4> v;
-    std::uint32_t n;
-
-    bool
-    operator==(const IntKey &o) const
-    {
-        return n == o.n && std::equal(v.begin(), v.begin() + n,
-                                      o.v.begin());
+    std::uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (const std::int64_t *lane : lanes) {
+        std::uint64_t x = static_cast<std::uint64_t>(lane[r]) + h;
+        x ^= x >> 33;
+        x *= 0xff51afd7ed558ccdull;
+        x ^= x >> 33;
+        h = x;
     }
-};
+    return h;
+}
 
-struct IntKeyHash
+/**
+ * @p build's varchar offsets re-expressed in @p probe's heap, each
+ * distinct offset looked up once. A string @p probe's heap lacks maps
+ * to -1, which no probe offset equals; NULLs stay NULL.
+ */
+std::vector<std::int64_t>
+translateOffsets(const RelColumn &build, const StringHeap &probe)
 {
-    std::size_t
-    operator()(const IntKey &k) const
-    {
-        std::uint64_t h = 0x9e3779b97f4a7c15ull;
-        for (std::uint32_t i = 0; i < k.n; ++i) {
-            std::uint64_t x = static_cast<std::uint64_t>(k.v[i]) + h;
-            x ^= x >> 33;
-            x *= 0xff51afd7ed558ccdull;
-            x ^= x >> 33;
-            h = x;
+    const std::int64_t *vals = build.vals->data();
+    KeyTable distinct(1);
+    std::vector<std::int64_t> mapped; // per distinct offset
+    std::vector<std::int64_t> out(build.size());
+    for (std::int64_t r = 0; r < build.size(); ++r) {
+        auto [id, fresh] =
+            distinct.insert({&vals, 1}, r, keyHash({&vals, 1}, r));
+        if (fresh) {
+            mapped.push_back(vals[r] < 0
+                                 ? vals[r]
+                                 : probe.find(build.heap->get(vals[r])));
         }
-        return static_cast<std::size_t>(h);
+        out[r] = mapped[id];
     }
-};
-
-/** Can rows of @p cols be keyed by raw int64 values? */
-bool
-intKeyable(const RelTable &t, const std::vector<int> &cols)
-{
-    if (cols.size() > 4)
-        return false;
-    for (int c : cols) {
-        if (t.col(c).type == ColumnType::Varchar)
-            return false;
-    }
-    return true;
-}
-
-IntKey
-makeIntKey(const RelTable &t, const std::vector<int> &cols,
-           std::int64_t row)
-{
-    IntKey k;
-    k.n = static_cast<std::uint32_t>(cols.size());
-    for (std::uint32_t c = 0; c < k.n; ++c)
-        k.v[c] = t.col(cols[c]).get(row);
-    return k;
+    return out;
 }
 
 /**
- * Hash-join candidate enumeration, generic over the key type. Builds
- * on the right side in row order, probes the left in morsels; each
+ * Equi-join candidate pairs, probe (@p left) row ascending and, within
+ * one probe row, matching build (@p right) rows descending. The order
+ * is part of every join's answer.
+ *
+ * The build runs serially in row order: each distinct key gets a
+ * KeyTable id, and head[id] / next[row] chain its rows newest first.
+ * The probe reads the finished table in morsels on the pool; each
  * morsel's matches land in a local pair list and concatenation in
- * morsel order reproduces the serial probe order exactly (equal_range
- * iteration order is a property of the table, not the prober).
+ * morsel order reproduces the serial probe order exactly.
  */
-template <typename Key, typename Hash, typename MakeKeyFn>
 void
-hashJoinCandidates(const RelTable &left, const std::vector<int> &lk,
+equiJoinCandidates(const RelTable &left, const std::vector<int> &lk,
                    const RelTable &right, const std::vector<int> &rk,
-                   MakeKeyFn make_key, std::vector<std::int64_t> &li,
+                   std::vector<std::int64_t> &li,
                    std::vector<std::int64_t> &ri)
 {
-    std::unordered_multimap<Key, std::int64_t, Hash> ht;
-    ht.reserve(right.numRows() * 2);
-    for (std::int64_t j = 0; j < right.numRows(); ++j)
-        ht.emplace(make_key(right, rk, j), j);
+    std::vector<const std::int64_t *> probe = keyLanes(left, lk);
+    std::vector<const std::int64_t *> build = keyLanes(right, rk);
+    // Varchar keys compare as heap offsets. Build columns on a heap
+    // other than the probe column's are translated into the probe's.
+    std::vector<std::vector<std::int64_t>> translated;
+    translated.reserve(lk.size());
+    for (std::size_t k = 0; k < lk.size(); ++k) {
+        const RelColumn &lc = left.col(lk[k]);
+        const RelColumn &rc = right.col(rk[k]);
+        bool varchar = lc.type == ColumnType::Varchar;
+        AQ_ASSERT(varchar == (rc.type == ColumnType::Varchar),
+                  "join key ", lc.name, " = ", rc.name,
+                  " mixes varchar and non-varchar");
+        if (varchar && lc.heap != rc.heap) {
+            translated.push_back(translateOffsets(rc, *lc.heap));
+            build[k] = translated.back().data();
+        }
+    }
+
+    KeyTable table(static_cast<int>(build.size()));
+    std::vector<std::int64_t> head; // per key id: newest build row
+    std::vector<std::int64_t> next(right.numRows()); // next older row
+    for (std::int64_t j = 0; j < right.numRows(); ++j) {
+        auto [id, fresh] = table.insert(build, j, keyHash(build, j));
+        if (fresh)
+            head.push_back(-1);
+        next[j] = head[id];
+        head[id] = j;
+    }
     auto morsels = ThreadPool::splitRange(0, left.numRows(), kMorselRows);
     std::vector<std::vector<std::int64_t>> lloc(morsels.size());
     std::vector<std::vector<std::int64_t>> rloc(morsels.size());
@@ -136,10 +132,11 @@ hashJoinCandidates(const RelTable &left, const std::vector<int> &lk,
         for (std::int64_t m = m0; m < m1; ++m) {
             auto [b, e] = morsels[m];
             for (std::int64_t i = b; i < e; ++i) {
-                auto [lo, hi] = ht.equal_range(make_key(left, lk, i));
-                for (auto it = lo; it != hi; ++it) {
+                std::int64_t id = table.find(probe, i, keyHash(probe, i));
+                for (std::int64_t j = id < 0 ? -1 : head[id]; j >= 0;
+                     j = next[j]) {
                     lloc[m].push_back(i);
-                    rloc[m].push_back(it->second);
+                    rloc[m].push_back(j);
                 }
             }
         }
@@ -560,15 +557,7 @@ Executor::execJoin(const Plan &p, const RelTable &left,
             * right.numRows();
     } else {
         trace.rowOps += right.numRows() * 4.0;
-        if (intKeyable(left, lk) && intKeyable(right, rk)) {
-            // All-integer keys: fixed-width composites skip the
-            // per-row key-string allocation.
-            hashJoinCandidates<IntKey, IntKeyHash>(
-                left, lk, right, rk, makeIntKey, li, ri);
-        } else {
-            hashJoinCandidates<std::string, std::hash<std::string>>(
-                left, lk, right, rk, makeKey, li, ri);
-        }
+        equiJoinCandidates(left, lk, right, rk, li, ri);
         trace.rowOps += left.numRows() * 4.0 + li.size() * 2.0;
     }
 
@@ -626,35 +615,17 @@ Executor::execGroupBy(const Plan &p, const RelTable &in)
 
     std::size_t nagg = p.aggregates.size();
 
-    // Group ids in row order; first-seen order defines the output
-    // order, so both key representations yield identical results.
+    // Group ids in first-seen row order, which is the output order.
+    // Varchar group columns key by their interned heap offsets.
     std::vector<std::int64_t> first_rows;
     std::vector<int> gidx(in.numRows());
-    // Grouping only needs key EQUALITY, and heap interning gives every
-    // distinct string one canonical offset — so varchar group columns
-    // can be keyed by their raw offset values too.
-    if (gcols.size() <= 4) {
-        std::unordered_map<IntKey, int, IntKeyHash> index;
-        index.reserve(in.numRows());
-        for (std::int64_t i = 0; i < in.numRows(); ++i) {
-            auto [it, fresh] = index.emplace(
-                makeIntKey(in, gcols, i),
-                static_cast<int>(first_rows.size()));
-            if (fresh)
-                first_rows.push_back(i);
-            gidx[i] = it->second;
-        }
-    } else {
-        std::unordered_map<std::string, int> index;
-        index.reserve(in.numRows());
-        for (std::int64_t i = 0; i < in.numRows(); ++i) {
-            auto [it, fresh] = index.emplace(
-                makeKey(in, gcols, i),
-                static_cast<int>(first_rows.size()));
-            if (fresh)
-                first_rows.push_back(i);
-            gidx[i] = it->second;
-        }
+    std::vector<const std::int64_t *> lanes = keyLanes(in, gcols);
+    KeyTable groups(static_cast<int>(lanes.size()));
+    for (std::int64_t i = 0; i < in.numRows(); ++i) {
+        auto [id, fresh] = groups.insert(lanes, i, keyHash(lanes, i));
+        gidx[i] = static_cast<int>(id);
+        if (fresh)
+            first_rows.push_back(i);
     }
     std::int64_t num_groups =
         static_cast<std::int64_t>(first_rows.size());
@@ -761,7 +732,9 @@ Executor::execOrderBy(const Plan &p, const RelTable &in)
     std::vector<std::int64_t> idx(in.numRows());
     for (std::int64_t i = 0; i < in.numRows(); ++i)
         idx[i] = i;
-    if (intKeyable(in, keys)) {
+    if (std::none_of(keys.begin(), keys.end(), [&](int k) {
+            return in.col(k).type == ColumnType::Varchar;
+        })) {
         // All-integer sort keys: compare raw values without the
         // per-key column-type dispatch.
         std::vector<const std::int64_t *> kv;

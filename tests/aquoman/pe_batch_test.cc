@@ -39,8 +39,9 @@ checkBatchAgainstScalar(
         ? 0 : static_cast<std::int64_t>(inputs[0].size());
 
     PeBatchKernel kernel(programs, static_cast<int>(inputs.size()));
-    if (kernel.vectorizable())
+    if (kernel.vectorizable()) {
         ASSERT_EQ(kernel.numOutputs(), num_outputs);
+    }
 
     std::vector<const std::int64_t *> in_ptrs;
     for (const auto &col : inputs)

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
+#include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "engine/executor.hh"
 
@@ -379,6 +381,264 @@ TEST(GatherValues, NegativeIndicesAndRaggedMorselsAtAnyThreadCount)
     ThreadPool::setGlobalParallelism(ThreadPool::configuredParallelism());
     EXPECT_TRUE(gatherValues(src, {}).empty());
 }
+
+// Hash-join match order and group-by group order are part of every
+// answer. Both are checked against naive references over inputs whose
+// probe side spans several morsels, at 1 and 4 threads.
+
+/** Key shape of one order-contract case. */
+struct KeyShape
+{
+    int lanes;
+    int varcharLane = -1; ///< the one varchar lane, or -1
+    bool twoHeaps = false; ///< join sides intern into different heaps
+};
+
+void
+PrintTo(const KeyShape &k, std::ostream *os)
+{
+    *os << k.lanes << " lanes, varchar lane " << k.varcharLane
+        << (k.twoHeaps ? ", two heaps" : "");
+}
+
+/**
+ * A relation of @p ks.size() rows: a row-id column "<p>id" and key
+ * lanes "<p>k0".., derived from key index ks[r]: bit l of the index in
+ * lane l, the remaining high bits in the last lane. So each lane alone
+ * repeats across indexes and only the whole key tells them apart. A
+ * negative index is a NULL key: kNullValue in its first non-varchar
+ * lane. The varchar lane holds "s<n>" interned in @p heap.
+ */
+RelTable
+keyedTable(const std::string &p, const std::vector<std::int64_t> &ks,
+           const KeyShape &shape, const std::shared_ptr<StringHeap> &heap)
+{
+    RelTable t;
+    RelColumn id(p + "id", ColumnType::Int64);
+    for (std::size_t r = 0; r < ks.size(); ++r)
+        id.push(static_cast<std::int64_t>(r));
+    t.addColumn(std::move(id));
+    int null_lane = shape.varcharLane == 0 ? 1 : 0;
+    for (int l = 0; l < shape.lanes; ++l) {
+        bool varchar = l == shape.varcharLane;
+        RelColumn c(p + "k" + std::to_string(l),
+                    varchar ? ColumnType::Varchar : ColumnType::Int64);
+        if (varchar)
+            c.heap = heap;
+        for (std::int64_t k : ks) {
+            std::int64_t bits = std::max<std::int64_t>(k, 0) >> l;
+            std::int64_t v = l + 1 < shape.lanes ? bits & 1 : bits;
+            if (varchar)
+                c.push(heap->intern("s" + std::to_string(v)));
+            else
+                c.push(k < 0 && l == null_lane ? kNullValue : v);
+        }
+        t.addColumn(std::move(c));
+    }
+    return t;
+}
+
+/**
+ * @p n key indexes uniform in [@p lo, @p lo + 40), about 5% of them
+ * NULL when @p nulls is set.
+ */
+std::vector<std::int64_t>
+keyIndexes(Rng &rng, std::int64_t n, std::int64_t lo, bool nulls)
+{
+    std::vector<std::int64_t> ks(n);
+    for (auto &k : ks)
+        k = nulls && rng.uniform(0, 19) == 0 ? -1 : rng.uniform(lo, lo + 39);
+    return ks;
+}
+
+using KeyCols = std::vector<const RelColumn *>;
+
+/** Naive key equality: raw values, or the strings of varchar lanes. */
+bool
+sameKeys(const KeyCols &a, std::int64_t i, const KeyCols &b, std::int64_t j)
+{
+    for (std::size_t l = 0; l < a.size(); ++l) {
+        bool eq = a[l]->type == ColumnType::Varchar
+            ? a[l]->str(i) == b[l]->str(j)
+            : a[l]->get(i) == b[l]->get(j);
+        if (!eq)
+            return false;
+    }
+    return true;
+}
+
+KeyCols
+keyCols(const RelTable &t, const std::vector<std::string> &names)
+{
+    KeyCols out;
+    for (const auto &n : names)
+        out.push_back(&t.col(n));
+    return out;
+}
+
+std::vector<std::string>
+laneNames(const std::string &p, int lanes)
+{
+    std::vector<std::string> out;
+    for (int l = 0; l < lanes; ++l)
+        out.push_back(p + "k" + std::to_string(l));
+    return out;
+}
+
+class JoinOrderContract : public ::testing::TestWithParam<KeyShape>
+{
+};
+
+TEST_P(JoinOrderContract, EveryJoinTypeMatchesNestedLoop)
+{
+    const KeyShape shape = GetParam();
+    Rng rng(0x5eed + shape.lanes * 7 + shape.varcharLane * 3
+            + shape.twoHeaps);
+    auto left_heap = std::make_shared<StringHeap>();
+    auto right_heap = left_heap;
+    if (shape.twoHeaps) {
+        // Different offsets for the same strings. With a varchar-only
+        // key, build key indexes 40.. are strings the probe heap lacks.
+        right_heap = std::make_shared<StringHeap>();
+        for (int i = 0; i < 10; ++i)
+            right_heap->intern("pad" + std::to_string(i));
+    }
+    bool nulls = shape.lanes > 1 || shape.varcharLane < 0;
+    // Heavy duplicates on the build side (~17 rows per key); the probe
+    // side spans three full morsels plus a ragged one, and half its key
+    // indexes miss.
+    RelTable right = keyedTable("r", keyIndexes(rng, 700, 20, nulls),
+                                shape, right_heap);
+    RelTable left = keyedTable(
+        "l", keyIndexes(rng, 3 * kMorselRows + 777, 0, nulls), shape,
+        left_heap);
+    std::vector<std::string> lk = laneNames("l", shape.lanes);
+    std::vector<std::string> rk = laneNames("r", shape.lanes);
+
+    // Probe rows ascending, build rows descending.
+    using V = std::vector<std::int64_t>;
+    V pair_l, pair_r, semi, anti;
+    KeyCols lc = keyCols(left, lk), rc = keyCols(right, rk);
+    for (std::int64_t i = 0; i < left.numRows(); ++i) {
+        bool any = false;
+        for (std::int64_t j = right.numRows() - 1; j >= 0; --j) {
+            if (sameKeys(lc, i, rc, j)) {
+                pair_l.push_back(i);
+                pair_r.push_back(j);
+                any = true;
+            }
+        }
+        (any ? semi : anti).push_back(i);
+    }
+    ASSERT_GT(pair_l.size(), 10 * semi.size());
+    ASSERT_FALSE(anti.empty());
+    V outer_l = pair_l, outer_r = pair_r;
+    outer_l.insert(outer_l.end(), anti.begin(), anti.end());
+    outer_r.insert(outer_r.end(), anti.size(), kNullValue);
+
+    const std::map<std::string, RelTable> stages{{"l", left},
+                                                 {"r", right}};
+    const struct
+    {
+        JoinType type;
+        const V &l, *r;
+    } cases[] = {
+        {JoinType::Inner, pair_l, &pair_r},
+        {JoinType::LeftSemi, semi, nullptr},
+        {JoinType::LeftAnti, anti, nullptr},
+        {JoinType::LeftOuter, outer_l, &outer_r},
+    };
+    Catalog none;
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalParallelism(threads);
+        for (const auto &c : cases) {
+            Executor ex(none);
+            RelTable out = ex.runPlan(
+                join(c.type, scanStage("l"), scanStage("r"), lk, rk),
+                stages);
+            SCOPED_TRACE(::testing::Message()
+                         << "join type " << static_cast<int>(c.type)
+                         << ", " << threads << " threads");
+            EXPECT_EQ(*out.col("lid").vals, c.l);
+            if (c.r)
+                EXPECT_EQ(*out.col("rid").vals, *c.r);
+            else
+                EXPECT_FALSE(out.hasColumn("rid"));
+        }
+    }
+    ThreadPool::setGlobalParallelism(ThreadPool::configuredParallelism());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Keys, JoinOrderContract,
+    ::testing::Values(KeyShape{1}, KeyShape{2}, KeyShape{3}, KeyShape{4},
+                      KeyShape{5}, KeyShape{1, 0}, KeyShape{3, 1},
+                      KeyShape{1, 0, true}, KeyShape{3, 1, true}),
+    [](const auto &info) {
+        const KeyShape &k = info.param;
+        return std::to_string(k.lanes) + "Lanes"
+            + (k.varcharLane < 0 ? ""
+               : k.twoHeaps      ? "VarcharTwoHeaps"
+                                 : "VarcharSharedHeap");
+    });
+
+class GroupOrderContract : public ::testing::TestWithParam<KeyShape>
+{
+};
+
+TEST_P(GroupOrderContract, GroupsComeOutInFirstSeenOrder)
+{
+    const KeyShape shape = GetParam();
+    Rng rng(0x9a + shape.lanes);
+    const std::int64_t n = 3 * kMorselRows + 777;
+    RelTable in = keyedTable("g", keyIndexes(rng, n, 0, true), shape,
+                             std::make_shared<StringHeap>());
+    std::vector<std::string> gk = laneNames("g", shape.lanes);
+
+    // Reference: a linear search over the groups seen so far.
+    std::vector<std::int64_t> first, sums, counts;
+    KeyCols kc = keyCols(in, gk);
+    for (std::int64_t i = 0; i < n; ++i) {
+        std::size_t g = 0;
+        while (g < first.size() && !sameKeys(kc, i, kc, first[g]))
+            ++g;
+        if (g == first.size()) {
+            first.push_back(i);
+            sums.push_back(0);
+            counts.push_back(0);
+        }
+        sums[g] += in.col("gid").get(i);
+        ++counts[g];
+    }
+    ASSERT_EQ(first.size() > 1, shape.lanes > 0);
+
+    const std::map<std::string, RelTable> stages{{"g", in}};
+    Catalog none;
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalParallelism(threads);
+        Executor ex(none);
+        RelTable out = ex.runPlan(
+            groupBy(scanStage("g"), gk,
+                    {{"sum", AggKind::Sum, col("gid")},
+                     {"n", AggKind::Count, nullptr}}),
+            stages);
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        ASSERT_EQ(out.numRows(), static_cast<std::int64_t>(first.size()));
+        for (const std::string &k : gk)
+            EXPECT_EQ(*out.col(k).vals, gatherValues(*in.col(k).vals, first));
+        EXPECT_EQ(*out.col("sum").vals, sums);
+        EXPECT_EQ(*out.col("n").vals, counts);
+    }
+    ThreadPool::setGlobalParallelism(ThreadPool::configuredParallelism());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Keys, GroupOrderContract,
+    ::testing::Values(KeyShape{0}, KeyShape{1, 0}, KeyShape{4, 2},
+                      KeyShape{6, 2}),
+    [](const auto &info) {
+        return std::to_string(info.param.lanes) + "Columns";
+    });
 
 } // namespace
 } // namespace aquoman

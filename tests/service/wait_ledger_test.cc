@@ -324,8 +324,9 @@ TEST_F(WaitLedgerTest, SegmentsAreGatedLedgerIsNot)
          id < static_cast<QueryId>(gated->numQueries()); ++id) {
         const QueryRecord &r = gated->record(id);
         EXPECT_TRUE(r.waitSegments.empty());
-        if (!r.shed)
+        if (!r.shed) {
             EXPECT_GT(r.waitLedger.total(), 0.0);
+        }
     }
 
     obs::setWaitSegmentCollection(true);

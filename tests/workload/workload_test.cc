@@ -199,8 +199,9 @@ TEST(TenantMix, TraceIsOrderedDistinctAndDeterministic)
     std::set<int> tenants;
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const WorkloadEvent &ev = trace[i];
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(ev.atSec, trace[i - 1].atSec) << "event " << i;
+        }
         EXPECT_GE(ev.atSec, 0.0);
         EXPECT_LT(ev.atSec, 40.0);
         EXPECT_NE(ev.instance, 0u) << "instance 0 is reserved";
