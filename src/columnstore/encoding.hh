@@ -124,19 +124,46 @@ packedBytes(std::int64_t rows, int bits)
     return (rows * bits + 7) / 8;
 }
 
-/** Append @p bits low bits of @p v to a LSB-first bit stream. */
-inline void
-putBits(std::vector<std::uint8_t> &out, std::int64_t &bitpos,
-        std::uint64_t v, int bits)
+/**
+ * Word-wise writer of a LSB-first bit stream into a buffer sized
+ * beforehand to packedBytes(n, bits): the write-side twin of
+ * getBitsFast. Fields collect in a 64-bit accumulator that is stored
+ * whole each time it fills, so every store lands inside the packed
+ * bytes of the fields put so far. finish() stores the partial last
+ * word byte by byte. Fields are at most 63 bits wide.
+ */
+class BitPacker
 {
-    for (int i = 0; i < bits; ++i, ++bitpos) {
-        if ((bitpos >> 3) >= static_cast<std::int64_t>(out.size()))
-            out.push_back(0);
-        if ((v >> i) & 1)
-            out[bitpos >> 3] |= static_cast<std::uint8_t>(
-                1u << (bitpos & 7));
+  public:
+    explicit BitPacker(std::uint8_t *dst) : out(dst) {}
+
+    /** Append the low @p bits bits of @p v (higher bits must be 0). */
+    void
+    put(std::uint64_t v, int bits)
+    {
+        acc |= v << fill;
+        fill += bits;
+        if (fill >= 64) {
+            std::memcpy(out, &acc, 8);
+            out += 8;
+            fill -= 64;
+            acc = v >> (bits - fill); // the bits of v that did not fit
+        }
     }
-}
+
+    /** Store the bytes of the last, partial word. */
+    void
+    finish()
+    {
+        for (; fill > 0; fill -= 8, acc >>= 8)
+            *out++ = static_cast<std::uint8_t>(acc);
+    }
+
+  private:
+    std::uint8_t *out;
+    std::uint64_t acc = 0;
+    int fill = 0; ///< bits held in acc, always < 64 between puts
+};
 
 inline std::uint64_t
 getBits(const std::uint8_t *p, std::int64_t bitpos, int bits)
@@ -279,6 +306,19 @@ struct PageStats
         return kHeaderBytes + bitmapBytes() + packedBytes(rows, bits);
     }
 
+    /** Block size under @p codec (negative when not applicable). */
+    std::int64_t
+    bytesFor(ColumnCodec codec, int width) const
+    {
+        switch (codec) {
+          case ColumnCodec::Raw: return rawSize(width);
+          case ColumnCodec::Rle: return rleSize();
+          case ColumnCodec::Dict: return dictSize();
+          case ColumnCodec::For: return forSize();
+        }
+        return -1;
+    }
+
     /**
      * Smallest applicable codec and its size. Deterministic tie
      * order: For, Dict, Rle, Raw (cheapest decode among equals).
@@ -288,15 +328,14 @@ struct PageStats
     {
         ColumnCodec codec = ColumnCodec::For;
         std::int64_t size = forSize();
-        auto consider = [&](ColumnCodec c, std::int64_t s) {
+        for (ColumnCodec c :
+             {ColumnCodec::Dict, ColumnCodec::Rle, ColumnCodec::Raw}) {
+            std::int64_t s = bytesFor(c, width);
             if (s >= 0 && (size < 0 || s < size)) {
                 codec = c;
                 size = s;
             }
-        };
-        consider(ColumnCodec::Dict, dictSize());
-        consider(ColumnCodec::Rle, rleSize());
-        consider(ColumnCodec::Raw, rawSize(width));
+        }
         return {codec, size};
     }
 };
@@ -314,6 +353,8 @@ encodePage(const std::int64_t *vals, std::int64_t first_row,
     page.rows = n;
 
     std::vector<std::uint8_t> &out = page.bytes;
+    out.reserve(static_cast<std::size_t>(
+        std::max<std::int64_t>(0, stats.bytesFor(codec, width))));
     std::uint8_t bits = 0;
     std::int64_t param = 0;
     std::vector<std::int64_t> dict;
@@ -392,8 +433,9 @@ encodePage(const std::int64_t *vals, std::int64_t first_row,
       case ColumnCodec::Dict: {
         for (std::int64_t d : dict)
             putScalar<std::int64_t>(out, d);
-        std::int64_t bitpos =
-            static_cast<std::int64_t>(out.size()) * 8;
+        std::size_t at = out.size();
+        out.resize(at + packedBytes(n, bits));
+        BitPacker packer(out.data() + at);
         for (std::int64_t i = 0; i < n; ++i) {
             std::uint64_t code = 0;
             if (v[i] != kEncodedNull) {
@@ -401,21 +443,24 @@ encodePage(const std::int64_t *vals, std::int64_t first_row,
                     std::lower_bound(dict.begin(), dict.end(), v[i])
                     - dict.begin());
             }
-            putBits(out, bitpos, code, bits);
+            packer.put(code, bits);
         }
+        packer.finish();
         break;
       }
       case ColumnCodec::For: {
-        std::int64_t bitpos =
-            static_cast<std::int64_t>(out.size()) * 8;
+        std::size_t at = out.size();
+        out.resize(at + packedBytes(n, bits));
+        BitPacker packer(out.data() + at);
         for (std::int64_t i = 0; i < n; ++i) {
             std::uint64_t delta = 0;
             if (v[i] != kEncodedNull) {
                 delta = static_cast<std::uint64_t>(v[i])
                     - static_cast<std::uint64_t>(param);
             }
-            putBits(out, bitpos, delta, bits);
+            packer.put(delta, bits);
         }
+        packer.finish();
         break;
       }
     }

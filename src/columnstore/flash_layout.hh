@@ -24,6 +24,7 @@
 #include "columnstore/encoding.hh"
 #include "columnstore/table.hh"
 #include "common/compress_mode.hh"
+#include "common/thread_pool.hh"
 #include "flash/controller_switch.hh"
 
 namespace aquoman {
@@ -202,12 +203,28 @@ class TableStore
     {
         table->checkConsistent();
         bool compress = compressionEnabled();
+        // The columns encode independently on the pool; their extents
+        // are then allocated and written serially in column order, so
+        // the layout and the write ledger do not depend on the thread
+        // count.
+        std::vector<ColumnEncoding> encs(
+            compress ? table->numColumns() : 0);
+        parallelFor(0, static_cast<std::int64_t>(encs.size()), 1,
+                    [&](std::int64_t c0, std::int64_t c1) {
+                        for (std::int64_t i = c0; i < c1; ++i) {
+                            const Column &c =
+                                table->col(static_cast<int>(i));
+                            encs[i] = encodeValues(
+                                c.data().data(), c.size(),
+                                columnTypeWidth(c.type()));
+                        }
+                    });
         TableLayout layout;
         FlashDevice &dev = sw.dev();
         for (int i = 0; i < table->numColumns(); ++i) {
             const Column &c = table->col(i);
             if (compress) {
-                storeEncoded(dev, c, layout);
+                storeEncoded(dev, std::move(encs[i]), layout);
                 continue;
             }
             int width = columnTypeWidth(c.type());
@@ -243,16 +260,11 @@ class TableStore
     ControllerSwitch &controller() { return sw; }
 
   private:
-    /** Encode @p c into page blocks, one block per flash page. */
+    /** Write @p enc's page blocks, one block per flash page. */
     void
-    storeEncoded(FlashDevice &dev, const Column &c, TableLayout &layout)
+    storeEncoded(FlashDevice &dev, ColumnEncoding enc,
+                 TableLayout &layout)
     {
-        int width = columnTypeWidth(c.type());
-        std::vector<std::int64_t> vals(c.size());
-        for (std::int64_t r = 0; r < c.size(); ++r)
-            vals[r] = c.get(r);
-        ColumnEncoding enc = encodeValues(
-            vals.data(), static_cast<std::int64_t>(vals.size()), width);
         FlashExtent ext =
             dev.allocate(enc.numPages() * kFlashPageBytes);
         ColumnLayoutMeta meta;

@@ -11,11 +11,11 @@
 #ifndef AQUOMAN_COLUMNSTORE_STRING_HEAP_HH
 #define AQUOMAN_COLUMNSTORE_STRING_HEAP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <string>
+#include <functional>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.hh"
@@ -50,25 +50,41 @@ likeLiteralRun(std::string_view pattern)
     return pattern.substr(best, best_len);
 }
 
-/** Interning heap of NUL-terminated strings addressed by byte offset. */
+/**
+ * Interning heap of NUL-terminated strings addressed by byte offset.
+ * Lookups go through a flat open-addressing table whose slots hold a
+ * heap offset and the string's cached hash, so the heap bytes are the
+ * only copy of each string and a lookup allocates nothing. The table
+ * doubles at half load; offsets come out in first-seen order.
+ */
 class StringHeap
 {
   public:
     /**
      * Intern @p s, returning its heap offset. Identical strings share
-     * one heap entry.
+     * one heap entry. @p s holds no NUL: that byte ends a heap entry.
      */
     std::int64_t
     intern(std::string_view s)
     {
-        auto it = internMap.find(std::string(s));
-        if (it != internMap.end())
-            return it->second;
-        std::int64_t off = static_cast<std::int64_t>(bytes.size());
+        std::uint64_t h = hashOf(s);
+        std::size_t i = 0;
+        if (!slots.empty()) {
+            i = probe(s, h);
+            if (slots[i].off >= 0)
+                return slots[i].off;
+        }
+        if ((used + 1) * 2 > slots.size()) {
+            grow();
+            i = probe(s, h);
+        }
+        Slot &slot = slots[i];
+        slot.off = static_cast<std::int64_t>(bytes.size());
+        slot.hash = h;
+        ++used;
         bytes.insert(bytes.end(), s.begin(), s.end());
         bytes.push_back('\0');
-        internMap.emplace(std::string(s), off);
-        return off;
+        return slot.off;
     }
 
     /**
@@ -79,8 +95,9 @@ class StringHeap
     std::int64_t
     find(std::string_view s) const
     {
-        auto it = internMap.find(std::string(s));
-        return it == internMap.end() ? -1 : it->second;
+        if (slots.empty())
+            return -1;
+        return slots[probe(s, hashOf(s))].off;
     }
 
     /** Read the string at heap offset @p off. */
@@ -100,7 +117,7 @@ class StringHeap
     /** Number of distinct strings interned. */
     std::int64_t numStrings() const
     {
-        return static_cast<std::int64_t>(internMap.size());
+        return static_cast<std::int64_t>(used);
     }
 
     /** Raw heap bytes (for flash persistence). */
@@ -136,8 +153,51 @@ class StringHeap
     }
 
   private:
+    /** One table slot; off < 0 marks it empty. */
+    struct Slot
+    {
+        std::int64_t off = -1;
+        std::uint64_t hash = 0;
+    };
+
+    static std::uint64_t
+    hashOf(std::string_view s)
+    {
+        return std::hash<std::string_view>{}(s);
+    }
+
+    /** Slot holding @p s (hash @p h), or the empty slot ending its probe. */
+    std::size_t
+    probe(std::string_view s, std::uint64_t h) const
+    {
+        std::size_t mask = slots.size() - 1;
+        std::size_t i = static_cast<std::size_t>(h) & mask;
+        while (slots[i].off >= 0
+               && (slots[i].hash != h || get(slots[i].off) != s))
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** Double the table (16 slots at first), re-placing by cached hash. */
+    void
+    grow()
+    {
+        std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots.size()));
+        old.swap(slots);
+        std::size_t mask = slots.size() - 1;
+        for (const Slot &o : old) {
+            if (o.off < 0)
+                continue;
+            std::size_t i = static_cast<std::size_t>(o.hash) & mask;
+            while (slots[i].off >= 0)
+                i = (i + 1) & mask;
+            slots[i] = o;
+        }
+    }
+
     std::vector<char> bytes;
-    std::unordered_map<std::string, std::int64_t> internMap;
+    std::vector<Slot> slots; ///< power-of-two size, at most half full
+    std::size_t used = 0;    ///< occupied slots == distinct strings
 };
 
 } // namespace aquoman

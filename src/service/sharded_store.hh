@@ -28,6 +28,7 @@
 #include "columnstore/encoding.hh"
 #include "columnstore/table.hh"
 #include "common/compress_mode.hh"
+#include "common/thread_pool.hh"
 #include "flash/controller_switch.hh"
 
 namespace aquoman::service {
@@ -82,15 +83,23 @@ class ShardedTableStore
         sh.extents.resize(m);
         std::int64_t width =
             (sh.totalRows + m - 1) / std::max(1, m);
+        auto stripe_begin = [&](std::int64_t d) {
+            return std::min<std::int64_t>(sh.totalRows, d * width);
+        };
+        // The stripes encode independently on the pool; each device's
+        // extent is then allocated and written serially, in device
+        // order, so the ledgers do not depend on the thread count.
+        std::vector<std::vector<std::uint8_t>> stripes(m);
+        parallelFor(0, m, 1, [&](std::int64_t d0, std::int64_t d1) {
+            for (std::int64_t d = d0; d < d1; ++d)
+                stripes[d] = encodeStripe(t, stripe_begin(d),
+                                          stripe_begin(d + 1));
+        });
         const auto &heap = t.strings().raw();
         auto heap_bytes = static_cast<std::int64_t>(heap.size());
         std::int64_t heap_written = 0;
         for (int d = 0; d < m; ++d) {
-            std::int64_t r0 = std::min<std::int64_t>(sh.totalRows,
-                                                     d * width);
-            std::int64_t r1 = std::min<std::int64_t>(sh.totalRows,
-                                                     (d + 1) * width);
-            sh.rowsOnDevice[d] = r1 - r0;
+            sh.rowsOnDevice[d] = stripe_begin(d + 1) - stripe_begin(d);
             // Heap share: proportional floor split, remainder on the
             // last stripe so the shares sum to the heap exactly.
             std::int64_t h = 0;
@@ -100,7 +109,7 @@ class ShardedTableStore
                     : heap_bytes * sh.rowsOnDevice[d] / sh.totalRows;
                 heap_written += h;
             }
-            std::vector<std::uint8_t> buf = encodeStripe(t, r0, r1);
+            std::vector<std::uint8_t> buf = std::move(stripes[d]);
             std::int64_t col_bytes =
                 static_cast<std::int64_t>(buf.size());
             if (col_bytes + h == 0)
@@ -148,17 +157,12 @@ class ShardedTableStore
     {
         std::vector<std::uint8_t> buf;
         bool compress = compressionEnabled();
-        std::vector<std::int64_t> vals;
         for (int ci = 0; ci < t.numColumns(); ++ci) {
             const Column &c = t.col(ci);
             int width = columnTypeWidth(c.type());
             if (compress) {
-                vals.resize(r1 - r0);
-                for (std::int64_t r = r0; r < r1; ++r)
-                    vals[r - r0] = c.get(r);
                 ColumnEncoding enc = encodeValues(
-                    vals.data(),
-                    static_cast<std::int64_t>(vals.size()), width, r0);
+                    c.data().data() + r0, r1 - r0, width, r0);
                 for (const EncodedPage &page : enc.pages) {
                     std::size_t at = buf.size();
                     buf.resize(at + kFlashPageBytes, 0);

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "columnstore/catalog.hh"
 #include "columnstore/flash_layout.hh"
 #include "columnstore/table.hh"
 #include "common/compress_mode.hh"
+#include "common/rng.hh"
 
 namespace aquoman {
 namespace {
@@ -41,6 +45,66 @@ TEST(StringHeapTest, InterningSharesStorage)
     EXPECT_EQ(heap.get(b), "world");
     EXPECT_EQ(heap.numStrings(), 2);
     EXPECT_EQ(heap.sizeBytes(), 12); // "hello\0world\0"
+}
+
+/**
+ * The interning contract, checked against a std::unordered_map
+ * reference built in the same order: ~100k strings with heavy
+ * duplicates, the empty string and strings that are prefixes of one
+ * another, across many doublings of the lookup table.
+ */
+TEST(StringHeapTest, InterningMatchesMapReference)
+{
+    StringHeap heap;
+    EXPECT_EQ(heap.find(""), -1);
+    EXPECT_EQ(heap.find("absent"), -1);
+    EXPECT_EQ(heap.numStrings(), 0);
+
+    std::unordered_map<std::string, std::int64_t> ref;
+    std::vector<char> ref_bytes;
+    auto ref_intern = [&](const std::string &s) {
+        auto [it, fresh] = ref.emplace(
+            s, static_cast<std::int64_t>(ref_bytes.size()));
+        if (fresh) {
+            ref_bytes.insert(ref_bytes.end(), s.begin(), s.end());
+            ref_bytes.push_back('\0');
+        }
+        return it->second;
+    };
+
+    Rng rng(20261019);
+    std::int64_t mismatches = 0;
+    for (int i = 0; i < 100000; ++i) {
+        std::int64_t k = i == 0 ? 0 : rng.uniform(0, 19999);
+        // "", "x", "xx", ...: each a prefix of the next. "Customer#1"
+        // is a prefix of "Customer#12", and all share "Customer#".
+        std::string s = k % 1000 == 0 ? std::string(k / 1000, 'x')
+                                      : "Customer#" + std::to_string(k);
+        if (heap.intern(s) != ref_intern(s))
+            ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(heap.numStrings(), static_cast<std::int64_t>(ref.size()));
+    EXPECT_GT(heap.numStrings(), 10000); // many table doublings
+    EXPECT_EQ(heap.raw(), ref_bytes);
+    for (const auto &[s, off] : ref) {
+        EXPECT_EQ(heap.find(s), off) << s;
+        EXPECT_EQ(heap.get(off), s);
+    }
+    for (const char *absent :
+         {"Customer#20000", "Customer#", "ustomer#1", "Customer#01",
+          "xxxxxxxxxxxxxxxxxxxxxxxx", "y"})
+        EXPECT_EQ(heap.find(absent), -1) << absent;
+
+    // Interning into a copy leaves the original untouched.
+    StringHeap copy = heap;
+    std::int64_t fresh = copy.intern("only in the copy");
+    EXPECT_EQ(fresh, heap.sizeBytes());
+    EXPECT_EQ(copy.intern("Customer#5"), heap.find("Customer#5"));
+    EXPECT_EQ(copy.numStrings(), heap.numStrings() + 1);
+    EXPECT_EQ(heap.find("only in the copy"), -1);
+    EXPECT_EQ(heap.raw(), ref_bytes);
+    EXPECT_EQ(heap.numStrings(), static_cast<std::int64_t>(ref.size()));
 }
 
 TEST(StringHeapTest, LikeLiteralRunPicksLongestRun)
