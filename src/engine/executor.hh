@@ -88,7 +88,9 @@ class Executor
     /**
      * @param cat database catalog
      * @param sw  flash controller switch; when non-null, base-table
-     *            scans move real bytes through the host port
+     *            scans charge the bytes a flash read of their columns
+     *            would stream to the host port (the values come from
+     *            the in-memory columns)
      */
     explicit Executor(const Catalog &cat, ControllerSwitch *sw = nullptr)
         : catalog(cat), flashSwitch(sw)

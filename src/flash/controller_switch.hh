@@ -57,9 +57,11 @@ class ControllerSwitch
 
     /**
      * Account @p bytes of modelled read traffic on @p port without
-     * moving data. The AQUOMAN pipeline and the service layer's host
-     * fallback compute on in-memory columns but stream page reads in
-     * the model; this keeps the per-port ledgers complete.
+     * moving data. Every query path computes on in-memory columns but
+     * streams page reads in the model: the host executor's base-table
+     * scans, the service's device shards, and the service's merge of
+     * each run's private ledger into the shared switch. This keeps the
+     * per-port ledgers complete.
      */
     void
     accountRead(FlashPort port, std::int64_t bytes)

@@ -2,9 +2,11 @@
  * @file
  * Functional + timing model of a NAND flash device. Pages are allocated
  * in extents (contiguous page ranges) by the column-store layout layer.
- * Reads and writes move real bytes so that everything downstream (the
- * baseline engine and the AQUOMAN pipeline) computes on data that truly
- * round-tripped through the device, while counters feed the timing model.
+ * Reads and writes move real bytes, so a persisted layout can be read
+ * back and checked (FlashResidentTable::readColumnRange). Queries do
+ * not read pages: the baseline engine and the AQUOMAN pipeline compute
+ * on in-memory columns and charge their reads to the controller
+ * switch's ledgers. The counters here record the real traffic.
  */
 
 #ifndef AQUOMAN_FLASH_FLASH_DEVICE_HH

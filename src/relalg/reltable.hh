@@ -17,7 +17,6 @@
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "columnstore/string_heap.hh"
-#include "columnstore/table.hh"
 
 namespace aquoman {
 
@@ -125,27 +124,6 @@ class RelTable
         for (const auto &c : columns)
             total += c.size() * 8;
         return total;
-    }
-
-    /**
-     * Build a RelTable view over an in-memory base Table, copying value
-     * vectors (cheap at bench scale) and sharing the string heap.
-     */
-    static RelTable
-    fromTable(const Table &t, const std::string &prefix = "")
-    {
-        RelTable r;
-        for (int i = 0; i < t.numColumns(); ++i) {
-            const Column &c = t.col(i);
-            RelColumn rc(prefix.empty() ? c.name()
-                                        : prefix + "." + c.name(),
-                         c.type());
-            *rc.vals = c.data();
-            if (c.type() == ColumnType::Varchar)
-                rc.heap = t.stringsPtr();
-            r.addColumn(std::move(rc));
-        }
-        return r;
     }
 
   private:

@@ -171,18 +171,7 @@ class ShardedTableStore
                 }
                 continue;
             }
-            std::size_t at = buf.size();
-            buf.resize(at + static_cast<std::size_t>(r1 - r0) * width);
-            for (std::int64_t r = r0; r < r1; ++r) {
-                if (width == 4) {
-                    auto v = static_cast<std::int32_t>(c.get(r));
-                    std::memcpy(buf.data() + at, &v, 4);
-                } else {
-                    std::int64_t v = c.get(r);
-                    std::memcpy(buf.data() + at, &v, 8);
-                }
-                at += width;
-            }
+            appendRawValues(buf, c.data().data() + r0, r1 - r0, width);
         }
         return buf;
     }

@@ -5,9 +5,11 @@
 #include <map>
 #include <memory>
 
+#include "common/compress_mode.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "engine/executor.hh"
+#include "tpch/dbgen.hh"
 
 namespace aquoman {
 namespace {
@@ -251,6 +253,83 @@ TEST_F(ExecutorTest, UnknownStageIsFatal)
 {
     Executor ex(catalog);
     EXPECT_THROW(ex.runPlan(scanStage("nope"), {}), FatalError);
+}
+
+/**
+ * Host scans read the in-memory columns and only account their flash
+ * traffic. Scanning every column of every TPC-H table must charge the
+ * host port exactly what real readColumnRange reads of the same
+ * columns move through a second switch (encoded page blocks when
+ * compressed, the raw width otherwise), and return Column::data(). A
+ * non-resident catalog (the service's) is charged the raw layout plus
+ * each varchar column's heap bytes.
+ */
+TEST(ExecutorScanLedger, HostPortBytesMatchRealFlashReads)
+{
+    bool saved = compressionEnabled();
+    auto db = tpch::TpchDatabase::generate(tpch::TpchConfig{0.002, 3});
+    FlashConfig fc;
+    fc.capacityBytes = 64 << 20;
+    struct Setup
+    {
+        const char *name;
+        bool resident;
+        bool compress;
+    };
+    for (Setup s : {Setup{"resident compressed", true, true},
+                    Setup{"resident raw", true, false},
+                    Setup{"non-resident", false, false}}) {
+        SCOPED_TRACE(s.name);
+        setCompressionEnabled(s.compress);
+        FlashDevice dev(fc), ref_dev(fc);
+        ControllerSwitch sw(dev), ref_sw(ref_dev);
+        TableStore store(sw), ref_store(ref_sw);
+        Catalog cat;
+        if (s.resident) {
+            db.installInto(cat, store);
+        } else {
+            for (const auto &t : {db.region, db.nation, db.supplier,
+                                  db.customer, db.part, db.partsupp,
+                                  db.orders, db.lineitem})
+                cat.put(t, nullptr);
+            db.registerMetadata(cat);
+        }
+        ASSERT_EQ(sw.bytesRead(FlashPort::Host), 0);
+
+        Executor ex(cat, &sw);
+        std::int64_t expect_trace = 0;
+        for (const auto &[name, entry] : cat.all()) {
+            const Table &t = *entry.table;
+            RelTable out = ex.runPlan(scan(name), {});
+            ASSERT_EQ(out.numColumns(), t.numColumns());
+            auto ref = ref_store.store(entry.table);
+            std::vector<std::int64_t> vals;
+            for (int ci = 0; ci < t.numColumns(); ++ci) {
+                const Column &c = t.col(ci);
+                ref->readColumnRange(ref_sw, FlashPort::Host, ci, 0,
+                                     c.size(), vals);
+                EXPECT_EQ(vals, c.data()) << name << "." << c.name();
+                EXPECT_EQ(*out.col(ci).vals, c.data())
+                    << name << "." << c.name();
+                expect_trace += c.storedBytes();
+                if (c.type() == ColumnType::Varchar) {
+                    EXPECT_EQ(out.col(ci).heap.get(), &t.strings());
+                    std::int64_t hb =
+                        columnHeapInfo(entry, c.name()).heapBytes;
+                    expect_trace += hb;
+                    if (!s.resident)
+                        ref_sw.accountRead(FlashPort::Host, hb);
+                }
+            }
+        }
+        EXPECT_EQ(sw.bytesRead(FlashPort::Host),
+                  ref_sw.bytesRead(FlashPort::Host));
+        EXPECT_EQ(sw.bytesRead(FlashPort::Aquoman), 0);
+        EXPECT_EQ(ex.metrics().flashBytesRead, expect_trace);
+        EXPECT_EQ(ex.metrics().touchedBaseBytes, expect_trace);
+        EXPECT_EQ(dev.bytesRead(), 0) << "a scan moved flash pages";
+    }
+    setCompressionEnabled(saved);
 }
 
 // The rules below are shared by the engine and the device, so a bug in
