@@ -1,9 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the AQUOMAN hardware-model
- * components: bitonic sorter, VCAS/TopK chain, merger, Aggregate
- * Group-By and PE interpretation. These measure the *simulator's* cost,
- * useful when scaling the benches to larger scale factors.
+ * components: bitonic sorter, VCAS/TopK chain, Aggregate Group-By and
+ * PE interpretation. These measure the *simulator's* cost, useful when
+ * scaling the benches to larger scale factors.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,7 +20,6 @@
 #include "obs/profile.hh"
 #include "obs/trace.hh"
 #include "aquoman/swissknife/groupby.hh"
-#include "aquoman/swissknife/merger.hh"
 #include "aquoman/swissknife/streaming_sorter.hh"
 #include "aquoman/swissknife/topk.hh"
 #include "aquoman/pe_batch.hh"
@@ -72,21 +71,6 @@ BM_TopKChain(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_TopKChain)->Arg(1 << 12)->Arg(1 << 16);
-
-void
-BM_MergerIntersect(benchmark::State &state)
-{
-    std::int64_t n = state.range(0);
-    KvStream left = randomStream(n, 3);
-    std::sort(left.begin(), left.end());
-    KvStream right;
-    for (std::int64_t k = 0; k < n / 4; ++k)
-        right.push_back({k * 4, k});
-    for (auto _ : state)
-        benchmark::DoNotOptimize(intersectInner(left, right));
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_MergerIntersect)->Arg(1 << 14)->Arg(1 << 18);
 
 /** Group-by key and value columns over @p groups distinct keys. */
 struct GroupByInput

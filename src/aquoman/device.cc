@@ -780,13 +780,12 @@ struct AquomanDevice::Impl
             && e.densePrimaryKey == dc.baseColumn;
     }
 
-    /** <key, tupleIdx> stream for @p key over @p rel. */
-    KvStream
-    keyStream(DeviceRelation &rel, const std::string &key)
+    /** <key, tupleIdx> stream of the key column @p c. */
+    static KvStream
+    keyStream(const RelColumn &c)
     {
-        RelColumn c = gather(rel, key, true);
-        KvStream s(rel.rows);
-        for (std::int64_t i = 0; i < rel.rows; ++i)
+        KvStream s(c.size());
+        for (std::int64_t i = 0; i < c.size(); ++i)
             s[i] = {c.get(i), i};
         return s;
     }
@@ -850,6 +849,59 @@ struct AquomanDevice::Impl
         return pass;
     }
 
+    /**
+     * Suspend when one key of the sorted streams @p ls and @p rs would
+     * pair more tuples than the merger bounds, before any pair is made.
+     */
+    static void
+    checkFanOut(const KvStream &ls, const KvStream &rs)
+    {
+        std::size_t i = 0, j = 0;
+        while (i < ls.size() && j < rs.size()) {
+            std::int64_t key = std::min(ls[i].key, rs[j].key);
+            std::size_t i0 = i, j0 = j;
+            while (i < ls.size() && ls[i].key == key)
+                ++i;
+            while (j < rs.size() && rs[j].key == key)
+                ++j;
+            if ((i - i0) * (j - j0) > 1000000) {
+                throw SuspendError{
+                    "join key fan-out too large for the merger"};
+            }
+        }
+    }
+
+    /**
+     * Reorder the pairs (@p li, @p ri), which come left tuple
+     * ascending and right tuple descending within one, into the order
+     * a merge of the sorted streams emits them: key-major along the
+     * sorted left stream @p ls, right tuple ascending within a left
+     * tuple. Later joins' sort decisions and Swissknife spills read
+     * this order.
+     */
+    static void
+    mergeOrder(const KvStream &ls, std::vector<std::int64_t> &li,
+               std::vector<std::int64_t> &ri)
+    {
+        std::vector<std::int64_t> first(ls.size() + 1, 0);
+        for (std::int64_t i : li)
+            ++first[i + 1];
+        for (std::size_t t = 0; t < ls.size(); ++t)
+            first[t + 1] += first[t];
+        std::vector<std::int64_t> ml, mr;
+        ml.reserve(li.size());
+        mr.reserve(ri.size());
+        for (const Kv &kv : ls) {
+            for (std::int64_t p = first[kv.value + 1];
+                 p-- > first[kv.value];) {
+                ml.push_back(kv.value);
+                mr.push_back(ri[p]);
+            }
+        }
+        li = std::move(ml);
+        ri = std::move(mr);
+    }
+
     /** Append @p r's columns to @p l, tuple by tuple (inner join). */
     static void
     combine(DeviceRelation &l, const DeviceRelation &r)
@@ -880,92 +932,59 @@ struct AquomanDevice::Impl
         if (node.joinType == JoinType::LeftOuter)
             throw SuspendError{"outer join has no device path"};
 
-        KvStream ls = keyStream(l, node.leftKeys[0]);
-        KvStream rs = keyStream(r, node.rightKeys[0]);
+        // The first key pair is the hardware's 64-bit join key; the
+        // residual checks the rest. Offsets into two string heaps do
+        // not compare, so such a key stays on the host.
+        const std::string &lkey = node.leftKeys[0];
+        const std::string &rkey = node.rightKeys[0];
+        RelTable lt, rt;
+        lt.addColumn(gather(l, lkey, true));
+        rt.addColumn(gather(r, rkey, true));
+        if (lt.col(0).type == ColumnType::Varchar
+            && lt.col(0).heap != rt.col(0).heap)
+            throw SuspendError{"varchar join key on two string heaps"};
 
-        bool probe_right = isDensePk(r, node.rightKeys[0]);
-        bool probe_left = node.joinType == JoinType::Inner
-            && isDensePk(l, node.leftKeys[0]);
-
+        bool probe_right = isDensePk(r, rkey);
+        bool probe_left = !probe_right
+            && node.joinType == JoinType::Inner && isDensePk(l, lkey);
         std::vector<std::int64_t> li, ri;
-        if (probe_right || (probe_left && !probe_right)) {
+        if (probe_right || probe_left) {
             // RowID probe (MonetDB materialised-RowID optimisation):
-            // the PK side becomes a direct-index structure over its
-            // base table's row space; the other side streams.
+            // the PK side is priced as a direct-index structure over
+            // its base table's row space and the other side streams
+            // past it, so pairs come out in the streaming side's order.
             DeviceRelation &pk = probe_right ? r : l;
-            KvStream &pk_keys = probe_right ? rs : ls;
-            KvStream &stream = probe_right ? ls : rs;
-            const DevCol &dc =
-                resolve(pk, probe_right ? node.rightKeys[0]
-                                        : node.leftKeys[0]);
-            const Table &pk_table =
-                baseTable(pk.leafRefs[dc.leafIdx].table);
-            std::int64_t domain = pk_table.numRows();
-            // Dense PKs map key -> RowID by subtracting the first key
-            // (1 for TPC-H entity keys, 0 for nation/region).
-            std::int64_t base = domain > 0
-                ? pk_table.col(dc.baseColumn).get(0) : 0;
+            const DevCol &dc = resolve(pk, probe_right ? rkey : lkey);
+            std::int64_t domain =
+                baseTable(pk.leafRefs[dc.leafIdx].table).numRows();
             std::string slot = freshSlot("probe");
             charge(slot, domain * bytesPerRowId(domain));
-            std::vector<std::int64_t> index(domain, -1);
-            for (const Kv &kv : pk_keys) {
-                std::int64_t key = kv.key - base;
-                if (key >= 0 && key < domain)
-                    index[key] = kv.value;
-            }
-            for (const Kv &kv : stream) {
-                std::int64_t key = kv.key - base;
-                std::int64_t hit =
-                    key >= 0 && key < domain ? index[key] : -1;
-                if (hit < 0)
-                    continue;
-                li.push_back(probe_right ? kv.value : hit);
-                ri.push_back(probe_right ? hit : kv.value);
-            }
+            if (probe_right)
+                equiJoinCandidates(lt, {0}, rt, {0}, li, ri);
+            else
+                equiJoinCandidates(rt, {0}, lt, {0}, ri, li);
             release(slot);
         } else {
             // Sort-merge path: streams already in key order skip the
             // streaming sorter (MonetDB keeps base tables in RowID
             // order, so fact-table foreign keys like l_orderkey arrive
             // sorted).
+            KvStream ls = keyStream(lt.col(0));
+            KvStream rs = keyStream(rt.col(0));
             auto by_key = [](const Kv &a, const Kv &b) {
                 return a.key < b.key;
             };
             if (!std::is_sorted(ls.begin(), ls.end(), by_key))
-                sortStream(ls, "left " + node.leftKeys[0]);
+                sortStream(ls, "left " + lkey);
             if (!std::is_sorted(rs.begin(), rs.end(), by_key))
-                sortStream(rs, "right " + node.rightKeys[0]);
-            // Generalised merge-intersect with bounded duplicate
-            // products per key.
-            std::size_t i = 0, j = 0;
-            while (i < ls.size() && j < rs.size()) {
-                if (ls[i].key < rs[j].key) {
-                    ++i;
-                } else if (rs[j].key < ls[i].key) {
-                    ++j;
-                } else {
-                    std::int64_t key = ls[i].key;
-                    std::size_t i2 = i, j2 = j;
-                    while (i2 < ls.size() && ls[i2].key == key)
-                        ++i2;
-                    while (j2 < rs.size() && rs[j2].key == key)
-                        ++j2;
-                    if ((i2 - i) * (j2 - j) > 1000000) {
-                        throw SuspendError{
-                            "join key fan-out too large for the merger"};
-                    }
-                    for (std::size_t a = i; a < i2; ++a)
-                        for (std::size_t b = j; b < j2; ++b) {
-                            li.push_back(ls[a].value);
-                            ri.push_back(rs[b].value);
-                        }
-                    i = i2;
-                    j = j2;
-                }
-            }
+                sortStream(rs, "right " + rkey);
+            checkFanOut(ls, rs);
             accrue({.kind = WorkKind::Merge,
                     .rows = static_cast<std::int64_t>(ls.size()
                                                       + rs.size())});
+            equiJoinCandidates(lt, {0}, rt, {0}, li, ri);
+            if (node.joinType == JoinType::Inner)
+                mergeOrder(ls, li, ri);
         }
 
         // Semi/anti keep left tuples by match status (unmatched left
@@ -989,8 +1008,8 @@ struct AquomanDevice::Impl
             release(l.dramSlot);
         if (!r.dramSlot.empty())
             release(r.dramSlot);
-        recordTask("join " + node.leftKeys[0] + "=" + node.rightKeys[0],
-                   nullptr, l.rows + r.rows, out.rows);
+        recordTask("join " + lkey + "=" + rkey, nullptr, l.rows + r.rows,
+                   out.rows);
         return out;
     }
 

@@ -15,7 +15,10 @@
  *  - a side keyed by a dense primary key becomes a RowID probe
  *    structure (MonetDB's materialised-RowID optimisation);
  *  - otherwise the 1GB-block streaming sorter sorts <key,RowID> pairs
- *    and the Merger intersects them.
+ *    and a sort-merge joins them.
+ * The device prices each strategy; the candidate pairs themselves come
+ * from the host engine's equiJoinCandidates, so both engines run one
+ * join.
  * Device DRAM overflow raises a suspension: the stage (and the rest of
  * the query) falls back to the host.
  */

@@ -78,23 +78,28 @@ translateOffsets(const RelColumn &build, const StringHeap &probe)
     return out;
 }
 
-/**
- * Equi-join candidate pairs, probe (@p left) row ascending and, within
- * one probe row, matching build (@p right) rows descending. The order
- * is part of every join's answer.
- *
- * The build runs serially in row order: each distinct key gets a
- * KeyTable id, and head[id] / next[row] chain its rows newest first.
- * The probe reads the finished table in morsels on the pool; each
- * morsel's matches land in a local pair list and concatenation in
- * morsel order reproduces the serial probe order exactly.
- */
+/** Three-way compare of two rows on one column (NULL sorts first). */
+int
+compareValues(const RelColumn &c, std::int64_t a, std::int64_t b)
+{
+    if (c.type == ColumnType::Varchar) {
+        int r = c.str(a).compare(c.str(b));
+        return r < 0 ? -1 : (r > 0 ? 1 : 0);
+    }
+    std::int64_t x = c.get(a), y = c.get(b);
+    return x < y ? -1 : (x > y ? 1 : 0);
+}
+
+} // namespace
+
 void
 equiJoinCandidates(const RelTable &left, const std::vector<int> &lk,
                    const RelTable &right, const std::vector<int> &rk,
                    std::vector<std::int64_t> &li,
                    std::vector<std::int64_t> &ri)
 {
+    if (left.numRows() == 0 || right.numRows() == 0)
+        return;
     std::vector<const std::int64_t *> probe = keyLanes(left, lk);
     std::vector<const std::int64_t *> build = keyLanes(right, rk);
     // Varchar keys compare as heap offsets. Build columns on a heap
@@ -114,52 +119,87 @@ equiJoinCandidates(const RelTable &left, const std::vector<int> &lk,
         }
     }
 
-    KeyTable table(static_cast<int>(build.size()));
-    std::vector<std::int64_t> head; // per key id: newest build row
-    std::vector<std::int64_t> next(right.numRows()); // next older row
-    for (std::int64_t j = 0; j < right.numRows(); ++j) {
-        auto [id, fresh] = table.insert(build, j, keyHash(build, j));
-        if (fresh)
-            head.push_back(-1);
-        next[j] = head[id];
-        head[id] = j;
+    // Each distinct build key owns a chain: head[slot] is its newest
+    // row and next[row] the next older one. A one-lane key whose values
+    // span few more slots than there are build rows indexes the chains
+    // by value - lo; any other key gets its KeyTable id. Both chain the
+    // same rows in the same order.
+    const std::int64_t rows = right.numRows();
+    std::int64_t lo = 0;
+    std::uint64_t span = ~0ull;
+    if (build.size() == 1) {
+        auto [mn, mx] = std::minmax_element(build[0], build[0] + rows);
+        lo = *mn;
+        span = static_cast<std::uint64_t>(*mx)
+            - static_cast<std::uint64_t>(lo);
     }
+    const bool direct =
+        span < 4 * static_cast<std::uint64_t>(rows) + 1024;
+    KeyTable table(static_cast<int>(build.size()));
+    std::vector<std::int64_t> head(direct ? span + 1 : 0, -1);
+    std::vector<std::int64_t> next(rows);
+    for (std::int64_t j = 0; j < rows; ++j) {
+        std::int64_t slot;
+        if (direct) {
+            slot = build[0][j] - lo;
+        } else {
+            auto [id, fresh] = table.insert(build, j, keyHash(build, j));
+            if (fresh)
+                head.push_back(-1);
+            slot = id;
+        }
+        next[j] = head[slot];
+        head[slot] = j;
+    }
+    auto newest_match = [&](std::int64_t i) -> std::int64_t {
+        if (!direct) {
+            std::int64_t id = table.find(probe, i, keyHash(probe, i));
+            return id < 0 ? -1 : head[id];
+        }
+        std::uint64_t slot = static_cast<std::uint64_t>(probe[0][i])
+            - static_cast<std::uint64_t>(lo);
+        return slot < head.size() ? head[slot] : -1;
+    };
+
+    // The probe runs in morsels on the pool, in two passes: the first
+    // finds each probe row's newest match and counts each morsel's
+    // pairs, the second writes the pairs at the morsel's offset in the
+    // exact-size output, instead of growing per-morsel lists and
+    // copying every pair again to concatenate them.
     auto morsels = ThreadPool::splitRange(0, left.numRows(), kMorselRows);
-    std::vector<std::vector<std::int64_t>> lloc(morsels.size());
-    std::vector<std::vector<std::int64_t>> rloc(morsels.size());
-    parallelFor(0, static_cast<std::int64_t>(morsels.size()), 1,
-                [&](std::int64_t m0, std::int64_t m1) {
+    const auto nm = static_cast<std::int64_t>(morsels.size());
+    std::vector<std::int64_t> newest(left.numRows());
+    std::vector<std::int64_t> offset(nm + 1, 0);
+    parallelFor(0, nm, 1, [&](std::int64_t m0, std::int64_t m1) {
         for (std::int64_t m = m0; m < m1; ++m) {
-            auto [b, e] = morsels[m];
-            for (std::int64_t i = b; i < e; ++i) {
-                std::int64_t id = table.find(probe, i, keyHash(probe, i));
-                for (std::int64_t j = id < 0 ? -1 : head[id]; j >= 0;
-                     j = next[j]) {
-                    lloc[m].push_back(i);
-                    rloc[m].push_back(j);
+            std::int64_t pairs = 0;
+            for (std::int64_t i = morsels[m].first; i < morsels[m].second;
+                 ++i) {
+                newest[i] = newest_match(i);
+                for (std::int64_t j = newest[i]; j >= 0; j = next[j])
+                    ++pairs;
+            }
+            offset[m + 1] = pairs;
+        }
+    });
+    offset[0] = static_cast<std::int64_t>(li.size());
+    for (std::int64_t m = 0; m < nm; ++m)
+        offset[m + 1] += offset[m];
+    li.resize(offset[nm]);
+    ri.resize(offset[nm]);
+    parallelFor(0, nm, 1, [&](std::int64_t m0, std::int64_t m1) {
+        for (std::int64_t m = m0; m < m1; ++m) {
+            std::int64_t p = offset[m];
+            for (std::int64_t i = morsels[m].first; i < morsels[m].second;
+                 ++i) {
+                for (std::int64_t j = newest[i]; j >= 0; j = next[j]) {
+                    li[p] = i;
+                    ri[p++] = j;
                 }
             }
         }
     });
-    for (std::size_t m = 0; m < morsels.size(); ++m) {
-        li.insert(li.end(), lloc[m].begin(), lloc[m].end());
-        ri.insert(ri.end(), rloc[m].begin(), rloc[m].end());
-    }
 }
-
-/** Three-way compare of two rows on one column (NULL sorts first). */
-int
-compareValues(const RelColumn &c, std::int64_t a, std::int64_t b)
-{
-    if (c.type == ColumnType::Varchar) {
-        int r = c.str(a).compare(c.str(b));
-        return r < 0 ? -1 : (r > 0 ? 1 : 0);
-    }
-    std::int64_t x = c.get(a), y = c.get(b);
-    return x < y ? -1 : (x > y ? 1 : 0);
-}
-
-} // namespace
 
 double
 exprCost(const ExprPtr &e)

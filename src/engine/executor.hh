@@ -53,6 +53,26 @@ std::vector<std::int64_t> gatherValues(const std::vector<std::int64_t> &src,
 RelTable gatherRows(const RelTable &t, const std::vector<std::int64_t> &idx);
 
 /**
+ * Append to @p li / @p ri the row pairs whose key columns @p lk of
+ * @p left equal @p rk of @p right: probe (@p left) row ascending and,
+ * within one probe row, build (@p right) rows descending. The order is
+ * part of every join's answer, on the host and on the device.
+ *
+ * The build runs serially in row order and chains each distinct key's
+ * rows newest first. A one-lane key whose values span under
+ * 4 * rows + 1024 slots indexes its chains directly by value; any other
+ * key hashes into a KeyTable. The probe reads the finished chains in
+ * morsels on the pool and writes each morsel's pairs at its offset, so
+ * the output equals the serial probe's for any thread count. Varchar
+ * keys compare as interned heap offsets; build columns on a heap other
+ * than the probe column's are translated into the probe's.
+ */
+void equiJoinCandidates(const RelTable &left, const std::vector<int> &lk,
+                        const RelTable &right, const std::vector<int> &rk,
+                        std::vector<std::int64_t> &li,
+                        std::vector<std::int64_t> &ri);
+
+/**
  * Turn a join's candidate pairs (@p li, @p ri) and the candidate
  * positions @p pass its residual kept into output rows. Inner keeps the
  * passing pairs in candidate order; LeftSemi/LeftAnti emit, in left

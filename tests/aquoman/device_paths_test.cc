@@ -160,6 +160,83 @@ TEST_F(DevicePathsTest, SortMergeJoinPathOnNonDenseKeys)
     EXPECT_EQ(merges, 1);
 }
 
+TEST_F(DevicePathsTest, InnerSortMergeEmitsKeyMajorOrder)
+{
+    // The first join sorts the shuffled codes side and merges it with
+    // events, so its pairs come out in key order. The second join keys
+    // on that output again: its left stream must arrive sorted and skip
+    // the streaming sorter, leaving only the shuffled c2 side to sort.
+    auto first = join(JoinType::Inner, scan("codes"),
+                      scan("events", "e", {"e_code", "e_val"}),
+                      {"c_code"}, {"e.e_code"});
+    Query q{"km",
+            {{"out", groupBy(
+                  join(JoinType::Inner, first,
+                       scan("codes", "c2", {"c_code", "c_weight"}),
+                       {"e.e_code"}, {"c2.c_code"}),
+                  {"c2.c_weight"},
+                  {{"total", AggKind::Sum, col("e.e_val")},
+                   {"n", AggKind::Count, nullptr}})}}};
+    RelTable want = baseline(q);
+    OffloadedQueryResult got = device(q);
+    ASSERT_TRUE(got.stats.suspensions.empty())
+        << got.stats.suspensions[0].detail;
+    EXPECT_EQ(canon(got.result), canon(want));
+    EXPECT_NE(findTask(got.stats, "sort left c_code"), nullptr);
+    EXPECT_NE(findTask(got.stats, "sort right c2.c_code"), nullptr);
+    EXPECT_EQ(findTask(got.stats, "sort left e.e_code"), nullptr);
+    EXPECT_EQ(countWork(got.stats, WorkKind::Sort), 3);
+}
+
+TEST_F(DevicePathsTest, ProbeOfAnExpandedPkSideKeepsEveryMatch)
+{
+    // The self-join on e_code repeats each o.e_id about eight times, so
+    // the right side of the outer join is keyed by a dense primary key
+    // that is no longer unique: every copy must pair with its event.
+    auto pairs = join(JoinType::Inner,
+                      scan("events", "o", {"e_id", "e_code"}),
+                      scan("events", "p", {"e_code", "e_val"}),
+                      {"o.e_code"}, {"p.e_code"});
+    Query q{"xp",
+            {{"out", groupBy(join(JoinType::Inner, scan("events"), pairs,
+                                  {"e_id"}, {"o.e_id"}),
+                             {"e_tag"},
+                             {{"total", AggKind::Sum, col("p.e_val")},
+                              {"n", AggKind::Count, nullptr}})}}};
+    RelTable want = baseline(q);
+    OffloadedQueryResult got = device(q);
+    ASSERT_TRUE(got.stats.suspensions.empty())
+        << got.stats.suspensions[0].detail;
+    EXPECT_EQ(canon(got.result), canon(want));
+}
+
+TEST_F(DevicePathsTest, VarcharKeyOnTwoHeapsSuspends)
+{
+    // tags interns its strings in its own heap, in another order and
+    // with one string events lacks, so equal strings have different
+    // offsets on the two sides. The device compares 64-bit keys only.
+    auto tg = std::make_shared<Table>("tags");
+    auto &tt = tg->addColumn("t_tag", ColumnType::Varchar);
+    auto &tn = tg->addColumn("t_n", ColumnType::Int64);
+    const char *tags[] = {"gamma", "beta-cold", "alpha-hot"};
+    for (int i = 0; i < 3; ++i) {
+        tg->pushString(tt, tags[i]);
+        tn.push(i);
+    }
+    catalog.put(tg, store->store(tg));
+    Query q{"vt",
+            {{"out", groupBy(join(JoinType::Inner, scan("events"),
+                                  scan("tags"), {"e_tag"}, {"t_tag"}),
+                             {"t_n"}, {{"n", AggKind::Count, nullptr}})}}};
+    RelTable want = baseline(q);
+    ASSERT_EQ(want.numRows(), 2);
+    OffloadedQueryResult got = device(q);
+    EXPECT_EQ(canon(got.result), canon(want));
+    ASSERT_EQ(got.stats.suspensions.size(), 1u);
+    EXPECT_EQ(got.stats.suspensions[0].detail,
+              "varchar join key on two string heaps");
+}
+
 TEST_F(DevicePathsTest, SemiAndAntiWithResidualOnDevice)
 {
     // Events that share a code with a *different, bigger* event.

@@ -1,7 +1,7 @@
 /** @file
- * Property sweeps for the streaming sorter and merger under adversarial
- * inputs: heavy duplicates, all-equal keys, presorted runs, and
- * stability of the <key, RowID> pairing the join machinery depends on.
+ * Property sweeps for the streaming sorter under adversarial inputs:
+ * heavy duplicates, all-equal keys, presorted runs, and stability of
+ * the <key, RowID> pairing the join machinery depends on.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <map>
 
-#include "aquoman/swissknife/merger.hh"
 #include "aquoman/swissknife/streaming_sorter.hh"
 #include "common/rng.hh"
 
@@ -68,51 +67,6 @@ TEST(SorterPropertyTest, EmptyStream)
     EXPECT_EQ(st.recordsIn, 0);
     EXPECT_EQ(st.numBlocks, 0);
     EXPECT_EQ(st.seconds, 0.0);
-}
-
-TEST(MergerPropertyTest, MergeEqualsStdMerge)
-{
-    Rng rng(4242);
-    for (int trial = 0; trial < 30; ++trial) {
-        KvStream a(rng.uniform(0, 300)), b(rng.uniform(0, 300));
-        for (auto &kv : a)
-            kv = {rng.uniform(0, 40), rng.uniform(0, 1000)};
-        for (auto &kv : b)
-            kv = {rng.uniform(0, 40), rng.uniform(0, 1000)};
-        std::sort(a.begin(), a.end(),
-                  [](const Kv &x, const Kv &y) { return x.key < y.key; });
-        std::sort(b.begin(), b.end(),
-                  [](const Kv &x, const Kv &y) { return x.key < y.key; });
-        KvStream got = merge2to1(a, b);
-        ASSERT_EQ(got.size(), a.size() + b.size());
-        EXPECT_TRUE(std::is_sorted(
-            got.begin(), got.end(),
-            [](const Kv &x, const Kv &y) { return x.key < y.key; }));
-    }
-}
-
-TEST(MergerPropertyTest, SemiAntiAgainstSetReference)
-{
-    Rng rng(7);
-    for (int trial = 0; trial < 30; ++trial) {
-        KvStream left(200), right(rng.uniform(0, 80));
-        for (std::size_t i = 0; i < left.size(); ++i)
-            left[i] = {rng.uniform(0, 60), static_cast<std::int64_t>(i)};
-        for (auto &kv : right)
-            kv = {rng.uniform(0, 60), 0};
-        std::sort(left.begin(), left.end());
-        std::sort(right.begin(), right.end());
-        std::set<std::int64_t> right_keys;
-        for (const Kv &kv : right)
-            right_keys.insert(kv.key);
-        KvStream semi = intersectSemi(left, right);
-        KvStream anti = intersectAnti(left, right);
-        std::size_t want_semi = 0;
-        for (const Kv &kv : left)
-            want_semi += right_keys.count(kv.key);
-        EXPECT_EQ(semi.size(), want_semi);
-        EXPECT_EQ(anti.size(), left.size() - want_semi);
-    }
 }
 
 TEST(SorterPropertyTest, AlternationBoundedToUnitInterval)

@@ -1,8 +1,8 @@
 /** @file
  * Unit and property tests for the SQL Swissknife accelerators: bitonic
- * sorter, VCAS, TopK chain, Merger/Intersection and the Aggregate
- * Group-By (including its spill-over behaviour), plus the streaming
- * sorter's functional and Table V timing behaviour.
+ * sorter, VCAS, TopK chain and the Aggregate Group-By (including its
+ * spill-over behaviour), plus the streaming sorter's functional and
+ * Table V timing behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -10,12 +10,10 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <set>
 #include <string>
 
 #include "aquoman/swissknife/bitonic.hh"
 #include "aquoman/swissknife/groupby.hh"
-#include "aquoman/swissknife/merger.hh"
 #include "aquoman/swissknife/streaming_sorter.hh"
 #include "aquoman/swissknife/topk.hh"
 #include "aquoman/swissknife/vcas.hh"
@@ -158,86 +156,6 @@ TEST(TopKTest, CountersAdvance)
     topk.finish();
     EXPECT_GE(topk.vectorsSorted(), 100 / 8);
     EXPECT_GT(topk.casSteps(), 0);
-}
-
-// ------------------------------------------------------------ Merger
-
-TEST(MergerTest, MergesTwoSortedStreams)
-{
-    KvStream a = randomStream(500, 1, 1000);
-    KvStream b = randomStream(300, 2, 1000);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    MergeStats stats;
-    KvStream m = merge2to1(a, b, &stats);
-    ASSERT_EQ(m.size(), 800u);
-    EXPECT_TRUE(std::is_sorted(m.begin(), m.end(),
-                               [](const Kv &x, const Kv &y) {
-                                   return x.key < y.key;
-                               }));
-    EXPECT_GT(stats.sourceSwitches, 0);
-    EXPECT_EQ(stats.recordsOut, 800);
-}
-
-TEST(MergerTest, IntersectInnerJoinsAgainstUniqueSide)
-{
-    // Right: unique keys 0..99 (rowids 1000+key). Left: fan-out 0..2.
-    KvStream right;
-    for (int k = 0; k < 100; ++k)
-        right.push_back({k * 2, 1000 + k});
-    KvStream left;
-    for (int k = 0; k < 150; ++k)
-        left.push_back({k, k});
-    auto pairs = intersectInner(left, right);
-    // Even keys 0..148 match: 75 pairs.
-    ASSERT_EQ(pairs.size(), 75u);
-    for (const auto &p : pairs) {
-        EXPECT_EQ(p.key % 2, 0);
-        EXPECT_EQ(p.leftValue, p.key);
-        EXPECT_EQ(p.rightValue, 1000 + p.key / 2);
-    }
-}
-
-TEST(MergerTest, InnerPreservesLeftDuplicates)
-{
-    KvStream left = {{5, 1}, {5, 2}, {5, 3}, {7, 4}};
-    KvStream right = {{5, 100}, {6, 101}, {7, 102}};
-    auto pairs = intersectInner(left, right);
-    ASSERT_EQ(pairs.size(), 4u);
-    EXPECT_EQ(pairs[0].leftValue, 1);
-    EXPECT_EQ(pairs[2].leftValue, 3);
-    EXPECT_EQ(pairs[3].rightValue, 102);
-}
-
-TEST(MergerTest, SemiAntiPartitionLeft)
-{
-    KvStream left = randomStream(400, 3, 200);
-    KvStream right = randomStream(50, 4, 200);
-    std::sort(left.begin(), left.end());
-    std::sort(right.begin(), right.end());
-    KvStream semi = intersectSemi(left, right);
-    KvStream anti = intersectAnti(left, right);
-    EXPECT_EQ(semi.size() + anti.size(), left.size());
-    std::set<std::int64_t> right_keys;
-    for (const Kv &r : right)
-        right_keys.insert(r.key);
-    for (const Kv &r : semi)
-        EXPECT_TRUE(right_keys.count(r.key));
-    for (const Kv &r : anti)
-        EXPECT_FALSE(right_keys.count(r.key));
-}
-
-TEST(MergerTest, SortedInputsCauseFewSwitches)
-{
-    // Disjoint ranges: scheduler drains one source then the other.
-    KvStream a, b;
-    for (int i = 0; i < 1000; ++i)
-        a.push_back({i, 0});
-    for (int i = 0; i < 1000; ++i)
-        b.push_back({10000 + i, 0});
-    MergeStats stats;
-    merge2to1(a, b, &stats);
-    EXPECT_LE(stats.sourceSwitches, 2);
 }
 
 // ----------------------------------------------------------- GroupBy

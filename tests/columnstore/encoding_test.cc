@@ -285,9 +285,9 @@ TEST(EncodingProperty, WordPackerMatchesBitwiseReference)
     }
 }
 
-/** Canonical multiset-of-rows form for result comparison. */
+/** The rows of @p t in their answer order, one string each. */
 std::vector<std::string>
-canonicalRows(const RelTable &t)
+orderedRows(const RelTable &t)
 {
     std::vector<std::string> rows;
     for (std::int64_t r = 0; r < t.numRows(); ++r) {
@@ -302,14 +302,22 @@ canonicalRows(const RelTable &t)
         }
         rows.push_back(os.str());
     }
+    return rows;
+}
+
+/** Canonical multiset-of-rows form for result comparison. */
+std::vector<std::string>
+canonicalRows(const RelTable &t)
+{
+    std::vector<std::string> rows = orderedRows(t);
     std::sort(rows.begin(), rows.end());
     return rows;
 }
 
 /**
  * Compressed device runs are part of the simulator's determinism
- * contract: results, modelled seconds and flash bytes must be
- * bit-identical whether the pool runs with 1 worker
+ * contract: results (row order included), modelled seconds and flash
+ * bytes must be bit-identical whether the pool runs with 1 worker
  * or 4 (AQUOMAN_THREADS={1,4}), with compression on or off.
  */
 TEST(EncodingDeterminism, DeviceRunsAreThreadCountInvariant)
@@ -329,9 +337,10 @@ TEST(EncodingDeterminism, DeviceRunsAreThreadCountInvariant)
         Catalog cat;
         db.installInto(cat, store);
 
-        // q1 and q6 scan and aggregate; q3, q9 and q21 add joins,
-        // whose compaction and tuple combine run on the pool.
-        for (int q : {1, 3, 6, 9, 21}) {
+        // q1 and q6 scan and aggregate; q3, q4, q7, q9, q12 and q21
+        // add joins, whose probes, compaction and tuple combine run on
+        // the pool.
+        for (int q : {1, 3, 4, 6, 7, 9, 12, 21}) {
             std::vector<OffloadedQueryResult> runs;
             for (int threads : {1, 4}) {
                 ThreadPool::setGlobalParallelism(threads);
@@ -344,6 +353,9 @@ TEST(EncodingDeterminism, DeviceRunsAreThreadCountInvariant)
             const AquomanRunStats &b = runs[1].stats;
             EXPECT_EQ(canonicalRows(runs[0].result),
                       canonicalRows(runs[1].result))
+                << "q" << q << " compress " << compress;
+            EXPECT_EQ(orderedRows(runs[0].result),
+                      orderedRows(runs[1].result))
                 << "q" << q << " compress " << compress;
             EXPECT_EQ(a.deviceSeconds, b.deviceSeconds) << "q" << q;
             EXPECT_EQ(a.deviceFlashBytes, b.deviceFlashBytes)

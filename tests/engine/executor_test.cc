@@ -471,20 +471,26 @@ struct KeyShape
     int lanes;
     int varcharLane = -1; ///< the one varchar lane, or -1
     bool twoHeaps = false; ///< join sides intern into different heaps
+    bool buildNulls = true; ///< the build side has NULL keys too
+    std::int64_t stride = 1; ///< spacing of the last int lane's values
 };
 
 void
 PrintTo(const KeyShape &k, std::ostream *os)
 {
     *os << k.lanes << " lanes, varchar lane " << k.varcharLane
-        << (k.twoHeaps ? ", two heaps" : "");
+        << (k.twoHeaps ? ", two heaps" : "")
+        << (k.buildNulls ? "" : ", no build NULLs");
+    if (k.stride != 1)
+        *os << ", stride " << k.stride;
 }
 
 /**
  * A relation of @p ks.size() rows: a row-id column "<p>id" and key
  * lanes "<p>k0".., derived from key index ks[r]: bit l of the index in
- * lane l, the remaining high bits in the last lane. So each lane alone
- * repeats across indexes and only the whole key tells them apart. A
+ * lane l, the remaining high bits times the shape's stride in the last
+ * lane. So each lane alone repeats across indexes and only the whole
+ * key tells them apart. A
  * negative index is a NULL key: kNullValue in its first non-varchar
  * lane. The varchar lane holds "s<n>" interned in @p heap.
  */
@@ -506,7 +512,8 @@ keyedTable(const std::string &p, const std::vector<std::int64_t> &ks,
             c.heap = heap;
         for (std::int64_t k : ks) {
             std::int64_t bits = std::max<std::int64_t>(k, 0) >> l;
-            std::int64_t v = l + 1 < shape.lanes ? bits & 1 : bits;
+            std::int64_t v =
+                l + 1 < shape.lanes ? bits & 1 : bits * shape.stride;
             if (varchar)
                 c.push(heap->intern("s" + std::to_string(v)));
             else
@@ -585,9 +592,12 @@ TEST_P(JoinOrderContract, EveryJoinTypeMatchesNestedLoop)
     bool nulls = shape.lanes > 1 || shape.varcharLane < 0;
     // Heavy duplicates on the build side (~17 rows per key); the probe
     // side spans three full morsels plus a ragged one, and half its key
-    // indexes miss.
-    RelTable right = keyedTable("r", keyIndexes(rng, 700, 20, nulls),
-                                shape, right_heap);
+    // indexes miss. A one-lane int build key whose values span under
+    // 4 * rows + 1024 slots is indexed directly; NULLs (kNullValue) or
+    // a wide stride make it hash instead.
+    RelTable right = keyedTable(
+        "r", keyIndexes(rng, 700, 20, nulls && shape.buildNulls), shape,
+        right_heap);
     RelTable left = keyedTable(
         "l", keyIndexes(rng, 3 * kMorselRows + 777, 0, nulls), shape,
         left_heap);
@@ -652,13 +662,17 @@ INSTANTIATE_TEST_SUITE_P(
     Keys, JoinOrderContract,
     ::testing::Values(KeyShape{1}, KeyShape{2}, KeyShape{3}, KeyShape{4},
                       KeyShape{5}, KeyShape{1, 0}, KeyShape{3, 1},
-                      KeyShape{1, 0, true}, KeyShape{3, 1, true}),
+                      KeyShape{1, 0, true}, KeyShape{3, 1, true},
+                      KeyShape{1, -1, false, false},
+                      KeyShape{1, -1, false, false, 1000}),
     [](const auto &info) {
         const KeyShape &k = info.param;
         return std::to_string(k.lanes) + "Lanes"
             + (k.varcharLane < 0 ? ""
                : k.twoHeaps      ? "VarcharTwoHeaps"
-                                 : "VarcharSharedHeap");
+                                 : "VarcharSharedHeap")
+            + (k.buildNulls ? "" : "NoBuildNulls")
+            + (k.stride == 1 ? "" : "Sparse");
     });
 
 class GroupOrderContract : public ::testing::TestWithParam<KeyShape>
